@@ -10,20 +10,19 @@ tune/train/calibrate/evaluate protocol with seeded determinism.
 
 from .conformal import (
     CalibrationTable,
-    PredictionRegion,
-    PValuePair,
     accuracy,
     calibrate,
     conformity_score,
     mondrian_pvalue,
     mondrian_pvalue_smoothed,
     observed_fuzziness,
+    pairs_from_decision_values,
     predict_region,
     validity_deviation,
 )
 from .dataio import DataFormatError, TripletDataset, load_feature_file, load_labels, load_mnist_5v8
 from .experiment import ExperimentConfig, ExperimentReport, run_experiment
-from .kernels import GramMatrix, KernelSpec, gram, gram_matrix, rbf_eval
+from .kernels import KernelSpec, gram_matrix, rbf_eval
 from .model_io import load_calibration, load_model, save_calibration, save_model
 from .qp import (
     QpInfeasibleError,
@@ -42,6 +41,6 @@ from .selection import (
     tune_three_step,
 )
 from .svm import DecisionModel, SvmConfig, TrainingError, svm_train
-from .svmplus import SvmPlusConfig, SvmPlusModel, correcting_value, svmplus_decision, svmplus_train
+from .svmplus import SvmPlusConfig, SvmPlusModel, svmplus_train
 
 __version__ = "0.1.0"

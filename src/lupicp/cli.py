@@ -14,11 +14,11 @@ from pathlib import Path
 
 from .conformal import pairs_from_decision_values, predict_region
 from .dataio import DataFormatError, load_feature_file, write_feature_file, write_labels
-from .experiment import ExperimentError, load_config, run_experiment
+from .experiment import ExperimentError, load_config, run_experiment, split_rows, tune_for_config
 from .kernels import KernelSpec
 from .model_io import ModelFormatError, load_calibration, load_model, save_calibration, save_model
 from .qp import QpError
-from .selection import SearchError, stratified_split, tune_three_step
+from .selection import SearchError
 from .svm import SvmConfig, TrainingError, svm_train
 from .svmplus import SvmPlusConfig, svmplus_train
 from . import conformal
@@ -92,37 +92,9 @@ def _load_config(args):
     return cfg
 
 
-def _proper_split(cfg, data):
-    from .experiment import _split_seeds
-
-    seeds = _split_seeds(cfg.seed, cfg.repetitions)
-    outer = stratified_split(data.y, cfg.train_fraction, seed=seeds[0])
-    inner = stratified_split(
-        data.y[outer.first], cfg.proper_fraction, seed=seeds[1]
-    )
-    train = outer.first
-    return train[inner.first], train[inner.second]
-
-
 def cmd_tune(args) -> int:
     cfg = _load_config(args)
-    data = cfg.dataset.load()
-    proper, _ = _proper_split(cfg, data)
-    result = tune_three_step(
-        data.X[proper], data.Xstar[proper], data.y[proper],
-        cfg.grid_svm_x, cfg.grid_svm_xstar, cfg.grid_svmplus,
-        k=cfg.cv_folds, seed=cfg.seed, tol=cfg.qp_tol,
-    )
-    selected = {
-        "svm_x": {"C": result.svm_x.C, "gamma": result.svm_x.gamma,
-                  "cv_accuracy": result.svm_x.mean_accuracy},
-        "svm_xstar": {"C": result.svm_xstar.C, "gamma": result.svm_xstar.gamma,
-                      "cv_accuracy": result.svm_xstar.mean_accuracy},
-        "svmplus": {"C": result.svmplus.C, "gamma_plus": result.svmplus.gamma,
-                    "gamma1": result.svm_x.gamma, "gamma2": result.svm_xstar.gamma,
-                    "cv_accuracy": result.svmplus.mean_accuracy},
-    }
-    text = json.dumps(selected, indent=2, sort_keys=True)
+    text = json.dumps(tune_for_config(cfg, cfg.dataset.load()), indent=2, sort_keys=True)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -132,7 +104,7 @@ def cmd_tune(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     data = cfg.dataset.load()
-    proper, cal = _proper_split(cfg, data)
+    _, _, proper, cal = split_rows(cfg, data.y)
     y_p, y_c = data.y[proper], data.y[cal]
     if args.model == "svm-plus":
         for name in ("gamma_plus", "gamma1", "gamma2"):
@@ -172,21 +144,21 @@ def _usage_error(message):
     raise SystemExit(EXIT_USAGE)
 
 
-def _format_region(region) -> str:
-    return ",".join(f"{lab:+d}" for lab in sorted(region.labels))
+# region text indexed by (-1 in region) + 2 * (+1 in region)
+REGION_TEXT = ("", "-1", "+1", "-1,+1")
 
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     table = load_calibration(args.calibration)
     X = load_feature_file(args.input, args.format)
-    values = model.decision_values(X)
-    pairs = pairs_from_decision_values(table, values)
-    lines = []
-    for pv in pairs:
-        region = predict_region(pv, args.epsilon)
-        lines.append(f"{pv.p_minus:.6f}\t{pv.p_plus:.6f}\t{_format_region(region)}")
-    text = "\n".join(lines)
+    pvalues = pairs_from_decision_values(table, model.decision_values(X))
+    regions = predict_region(pvalues, args.epsilon)
+    codes = (regions[:, 0] + 2 * regions[:, 1]).tolist()
+    text = "\n".join(
+        f"{p_minus:.6f}\t{p_plus:.6f}\t{REGION_TEXT[code]}"
+        for (p_minus, p_plus), code in zip(pvalues.tolist(), codes)
+    )
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:

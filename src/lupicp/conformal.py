@@ -10,6 +10,12 @@ P-values are deterministic by default: ties count toward the numerator,
 which keeps outputs reproducible at the price of slightly conservative
 validity.  :func:`mondrian_pvalue_smoothed` provides the tie-randomized
 variant whose validity is exact, used for statistical audits.
+
+The batch API works on arrays.  The p-values of n test objects are an
+(n, 2) float array whose columns follow ``LABELS``, p(-1) then p(+1)
+(:func:`pairs_from_decision_values`); prediction regions are an (n, 2)
+boolean mask over the same columns (:func:`predict_region`); the
+metrics take the p-value array with the true labels.
 """
 
 from __future__ import annotations
@@ -20,14 +26,12 @@ import numpy as np
 
 __all__ = [
     "CalibrationTable",
-    "PValuePair",
-    "PredictionRegion",
     "ValidityDeviation",
     "conformity_score",
     "calibrate",
     "mondrian_pvalue",
     "mondrian_pvalue_smoothed",
-    "p_value_pairs",
+    "pairs_from_decision_values",
     "predict_region",
     "observed_fuzziness",
     "validity_deviation",
@@ -36,25 +40,6 @@ __all__ = [
 ]
 
 LABELS = (-1, 1)
-
-
-@dataclass(frozen=True)
-class PValuePair:
-    """Mondrian p-values for the two hypothesized labels."""
-
-    p_minus: float
-    p_plus: float
-
-    def value(self, label: int) -> float:
-        return self.p_minus if label == -1 else self.p_plus
-
-
-@dataclass(frozen=True)
-class PredictionRegion:
-    """Labels whose p-value exceeds the significance level epsilon."""
-
-    epsilon: float
-    labels: frozenset
 
 
 @dataclass
@@ -123,54 +108,49 @@ def mondrian_pvalue_smoothed(
     return (below + tau * (ties + 1)) / (n + 1)
 
 
-def p_value_pairs(table: CalibrationTable, scores_by_label) -> list[PValuePair]:
-    """Pair up p-values for both hypothesized labels of each test object.
+def pairs_from_decision_values(table: CalibrationTable, values) -> np.ndarray:
+    """P-values of test objects from their raw decision values f(x).
 
-    ``scores_by_label`` maps each label to the conformity scores the test
-    objects would have under that label (for the margin score these are
-    simply +/- the decision values).
+    Returns an (n, 2) array whose columns are p(-1) and p(+1): under the
+    hypothesized label y the conformity score is y * f(x), counted
+    against that class's calibration scores as in :func:`mondrian_pvalue`.
+    A vacuous class gives p-values of 1.0.
     """
-    pairs = []
-    per_label = {}
-    for label in LABELS:
-        cal = table.scores_by_class[label]
-        n = cal.shape[0]
-        scores = np.asarray(scores_by_label[label], dtype=float)
-        if n == 0:
-            per_label[label] = np.ones(scores.shape[0])
-        else:
-            counts = np.searchsorted(cal, scores, side="right")
-            per_label[label] = (counts + 1) / (n + 1)
-    for pm, pp in zip(per_label[-1], per_label[1]):
-        pairs.append(PValuePair(p_minus=float(pm), p_plus=float(pp)))
-    return pairs
-
-
-def pairs_from_decision_values(table: CalibrationTable, values) -> list[PValuePair]:
-    """P-value pairs from raw decision values f(x) of test objects."""
     values = np.asarray(values, dtype=float)
-    return p_value_pairs(table, {-1: -values, 1: values})
+    pvalues = np.ones((values.shape[0], len(LABELS)))
+    for column, label in enumerate(LABELS):
+        cal = table.scores_by_class[label]
+        if cal.shape[0]:
+            counts = np.searchsorted(cal, label * values, side="right")
+            pvalues[:, column] = (counts + 1) / (cal.shape[0] + 1)
+    return pvalues
 
 
-def predict_region(pv: PValuePair, epsilon: float) -> PredictionRegion:
-    """Region containing each label whose p-value exceeds epsilon."""
+def predict_region(pvalues, epsilon: float) -> np.ndarray:
+    """(n, 2) boolean mask of the labels, in LABELS order, whose p-value
+    exceeds the significance level epsilon."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    labels = frozenset(lab for lab in LABELS if pv.value(lab) > epsilon)
-    return PredictionRegion(epsilon=epsilon, labels=labels)
+    return np.asarray(pvalues, dtype=float) > epsilon
+
+
+def _true_label_columns(truth) -> np.ndarray:
+    """Column of each true label in a p-value array (-1 -> 0, else 1)."""
+    return np.where(truth == LABELS[0], 0, 1)
 
 
 def observed_fuzziness(pvalues, truth) -> float:
-    """Mean over test objects of the summed p-values of false labels."""
+    """Mean over test objects of the p-value of the false label."""
+    pvalues = np.asarray(pvalues, dtype=float)
     truth = np.asarray(truth)
     if len(pvalues) != truth.shape[0]:
-        raise ValueError("p-value list and truth length differ")
+        raise ValueError("p-value array and truth length differ")
     if truth.shape[0] == 0:
         raise ValueError("observed fuzziness is undefined on an empty test set")
-    total = 0.0
-    for pv, y in zip(pvalues, truth):
-        total += sum(pv.value(lab) for lab in LABELS if lab != y)
-    return total / truth.shape[0]
+    false_p = pvalues[np.arange(truth.shape[0]), 1 - _true_label_columns(truth)]
+    # summed left to right: np.sum adds pairwise, which moves the last
+    # digits of the reported value
+    return sum(false_p.tolist()) / truth.shape[0]
 
 
 @dataclass(frozen=True)
@@ -192,13 +172,14 @@ def validity_deviation(pvalues, truth, grid) -> ValidityDeviation:
     examples whose true-class p-value is <= eps; the deviation is the
     mean absolute gap |err(eps) - eps| over the grid.
     """
+    pvalues = np.asarray(pvalues, dtype=float)
     truth = np.asarray(truth)
     grid = np.asarray(grid, dtype=float)
     if len(pvalues) != truth.shape[0]:
-        raise ValueError("p-value list and truth length differ")
+        raise ValueError("p-value array and truth length differ")
     if np.any((grid <= 0.0) | (grid >= 1.0)):
         raise ValueError("grid values must lie in (0, 1)")
-    true_p = np.array([pv.value(y) for pv, y in zip(pvalues, truth)])
+    true_p = pvalues[np.arange(truth.shape[0]), _true_label_columns(truth)]
     per_class = {}
     present = []
     for label in LABELS:

@@ -34,7 +34,6 @@ from .kernels import KernelSpec
 from .selection import (
     GridSpec,
     SplitPlan,
-    ThreeStepResult,
     default_svm_grid,
     default_svmplus_grid,
     stratified_split,
@@ -48,6 +47,8 @@ __all__ = [
     "ExperimentReport",
     "ExperimentError",
     "run_experiment",
+    "split_rows",
+    "tune_for_config",
     "load_config",
 ]
 
@@ -235,59 +236,80 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _split_seeds(seed: int, repetitions: int) -> list:
-    # one stream per split keeps repetitions independent yet reproducible
-    state = np.random.SeedSequence(seed).generate_state(2 + repetitions)
+def _split_seeds(cfg: ExperimentConfig) -> list:
+    # one stream per split keeps repetitions independent yet reproducible:
+    # [train/test, proper/calibration and tuning folds, repetition 0, ...]
+    state = np.random.SeedSequence(cfg.seed).generate_state(2 + cfg.repetitions)
     return [int(s) for s in state]
 
 
-def _rows(X, idx):
-    return X[idx]
+def split_rows(cfg: ExperimentConfig, y):
+    """The run's fixed splits as absolute row indices.
+
+    Returns (train, test, proper, calibration): the stratified train/test
+    split, then the proper-training/calibration split of the training
+    rows, on which tuning cross-validates and ``lupicp train`` fits and
+    calibrates.
+    """
+    seeds = _split_seeds(cfg)
+    outer = stratified_split(y, cfg.train_fraction, seed=seeds[0])
+    inner = stratified_split(y[outer.first], cfg.proper_fraction, seed=seeds[1])
+    train = outer.first
+    return train, outer.second, train[inner.first], train[inner.second]
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Execute the full protocol and aggregate the report."""
-    t_start = time.perf_counter()
-    data = cfg.dataset.load()
-    seeds = _split_seeds(cfg.seed, cfg.repetitions)
-
-    outer = stratified_split(data.y, cfg.train_fraction, seed=seeds[0])
-    train_idx, test_idx = outer.first, outer.second
-    assert np.intersect1d(train_idx, test_idx).size == 0
-    X_test, Xstar_test, y_test = (
-        _rows(data.X, test_idx), _rows(data.Xstar, test_idx), data.y[test_idx],
-    )
-    X_train, Xstar_train, y_train = (
-        _rows(data.X, train_idx), _rows(data.Xstar, train_idx), data.y[train_idx],
-    )
-
-    t_tune = time.perf_counter()
-    tuning_split = stratified_split(y_train, cfg.proper_fraction, seed=seeds[1])
-    tuned: ThreeStepResult = tune_three_step(
-        _rows(X_train, tuning_split.first),
-        _rows(Xstar_train, tuning_split.first),
-        y_train[tuning_split.first],
+def tune_for_config(cfg: ExperimentConfig, data: TripletDataset) -> dict:
+    """Three-step tuning on the proper-training rows; the selected
+    parameters of each model with their mean CV accuracy."""
+    _, _, proper, _ = split_rows(cfg, data.y)
+    tuned = tune_three_step(
+        data.X[proper], data.Xstar[proper], data.y[proper],
         cfg.grid_svm_x, cfg.grid_svm_xstar, cfg.grid_svmplus,
-        k=cfg.cv_folds, seed=seeds[1], tol=cfg.qp_tol,
+        k=cfg.cv_folds, seed=_split_seeds(cfg)[1], tol=cfg.qp_tol,
     )
-    tuning_seconds = time.perf_counter() - t_tune
     logger.info(
         "selected parameters: svm_x=(C=%g, gamma=%g) svm_xstar=(C=%g, gamma=%g) "
         "svmplus=(C=%g, gamma_plus=%g)",
         tuned.svm_x.C, tuned.svm_x.gamma, tuned.svm_xstar.C, tuned.svm_xstar.gamma,
         tuned.svmplus.C, tuned.svmplus.gamma,
     )
+    return {
+        "svm_x": {"C": tuned.svm_x.C, "gamma": tuned.svm_x.gamma,
+                  "cv_accuracy": tuned.svm_x.mean_accuracy},
+        "svm_xstar": {"C": tuned.svm_xstar.C, "gamma": tuned.svm_xstar.gamma,
+                      "cv_accuracy": tuned.svm_xstar.mean_accuracy},
+        "svmplus": {"C": tuned.svmplus.C, "gamma_plus": tuned.svmplus.gamma,
+                    "gamma1": tuned.svm_x.gamma, "gamma2": tuned.svm_xstar.gamma,
+                    "cv_accuracy": tuned.svmplus.mean_accuracy},
+    }
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Execute the full protocol and aggregate the report."""
+    t_start = time.perf_counter()
+    data = cfg.dataset.load()
+
+    t_tune = time.perf_counter()
+    selected = tune_for_config(cfg, data)
+    tuning_seconds = time.perf_counter() - t_tune
+
+    train_idx, test_idx, _, _ = split_rows(cfg, data.y)
+    assert np.intersect1d(train_idx, test_idx).size == 0
+    X_test, Xstar_test, y_test = data.X[test_idx], data.Xstar[test_idx], data.y[test_idx]
+    X_train, Xstar_train, y_train = (
+        data.X[train_idx], data.Xstar[train_idx], data.y[train_idx],
+    )
 
     per_rep = {key: [] for key in MODEL_KEYS}
     rep_seconds = []
     failed = []
-    for rep in range(cfg.repetitions):
+    for rep, split_seed in enumerate(_split_seeds(cfg)[2:]):
         t_rep = time.perf_counter()
         try:
             metrics = _one_repetition(
-                cfg, tuned, X_train, Xstar_train, y_train,
+                cfg, selected, X_train, Xstar_train, y_train,
                 X_test, Xstar_test, y_test,
-                split_seed=seeds[2 + rep], test_idx=test_idx, train_idx=train_idx,
+                split_seed=split_seed, test_idx=test_idx, train_idx=train_idx,
             )
         except Exception as exc:  # noqa: BLE001 - repetition isolation
             logger.warning("repetition %d failed: %s", rep, exc)
@@ -315,15 +337,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     report = ExperimentReport(
         config=cfg.echo(),
-        selected_parameters={
-            "svm_x": {"C": tuned.svm_x.C, "gamma": tuned.svm_x.gamma,
-                      "cv_accuracy": tuned.svm_x.mean_accuracy},
-            "svm_xstar": {"C": tuned.svm_xstar.C, "gamma": tuned.svm_xstar.gamma,
-                          "cv_accuracy": tuned.svm_xstar.mean_accuracy},
-            "svmplus": {"C": tuned.svmplus.C, "gamma_plus": tuned.svmplus.gamma,
-                        "gamma1": tuned.svm_x.gamma, "gamma2": tuned.svm_xstar.gamma,
-                        "cv_accuracy": tuned.svmplus.mean_accuracy},
-        },
+        selected_parameters=selected,
         per_model=per_model,
         counts={
             "total": int(data.n),
@@ -340,7 +354,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _one_repetition(cfg, tuned, X_train, Xstar_train, y_train,
+def _one_repetition(cfg, selected, X_train, Xstar_train, y_train,
                     X_test, Xstar_test, y_test, split_seed, test_idx, train_idx):
     inner: SplitPlan = stratified_split(y_train, cfg.proper_fraction, seed=split_seed)
     proper, cal = inner.first, inner.second
@@ -349,26 +363,27 @@ def _one_repetition(cfg, tuned, X_train, Xstar_train, y_train,
     assert np.intersect1d(train_idx[cal], test_idx).size == 0
     assert np.intersect1d(proper, cal).size == 0
 
-    X_p, Xs_p, y_p = _rows(X_train, proper), _rows(Xstar_train, proper), y_train[proper]
-    X_c, Xs_c, y_c = _rows(X_train, cal), _rows(Xstar_train, cal), y_train[cal]
+    X_p, Xs_p, y_p = X_train[proper], Xstar_train[proper], y_train[proper]
+    X_c, Xs_c, y_c = X_train[cal], Xstar_train[cal], y_train[cal]
 
+    p_x, p_xstar, p_plus = (selected[key] for key in MODEL_KEYS)
     svm_x = svm_train(
         X_p, y_p,
-        SvmConfig(C=tuned.svm_x.C, kernel=KernelSpec(gamma=tuned.svm_x.gamma)),
+        SvmConfig(C=p_x["C"], kernel=KernelSpec(gamma=p_x["gamma"])),
         tol=cfg.qp_tol,
     )
     svm_xstar = svm_train(
         Xs_p, y_p,
-        SvmConfig(C=tuned.svm_xstar.C, kernel=KernelSpec(gamma=tuned.svm_xstar.gamma)),
+        SvmConfig(C=p_xstar["C"], kernel=KernelSpec(gamma=p_xstar["gamma"])),
         tol=cfg.qp_tol,
     )
     svmplus = svmplus_train(
         X_p, Xs_p, y_p,
         SvmPlusConfig(
-            C=tuned.svmplus.C,
-            gamma_plus=tuned.svmplus.gamma,
-            decision_kernel=KernelSpec(gamma=tuned.svm_x.gamma),
-            correcting_kernel=KernelSpec(gamma=tuned.svm_xstar.gamma),
+            C=p_plus["C"],
+            gamma_plus=p_plus["gamma_plus"],
+            decision_kernel=KernelSpec(gamma=p_plus["gamma1"]),
+            correcting_kernel=KernelSpec(gamma=p_plus["gamma2"]),
         ),
         tol=cfg.qp_tol,
     )
@@ -383,11 +398,11 @@ def _one_repetition(cfg, tuned, X_train, Xstar_train, y_train,
     for key, model, cal_features, test_features in evaluations:
         table = calibrate(model, cal_features, y_c)
         test_values = model.decision_values(test_features)
-        pairs = pairs_from_decision_values(table, test_values)
+        pvalues = pairs_from_decision_values(table, test_values)
         predictions = np.where(test_values >= 0.0, 1, -1)
         metrics[key] = {
             "accuracy": accuracy(predictions, y_test),
-            "validity_deviation": validity_deviation(pairs, y_test, eps_grid).pooled,
-            "observed_fuzziness": observed_fuzziness(pairs, y_test),
+            "validity_deviation": validity_deviation(pvalues, y_test, eps_grid).pooled,
+            "observed_fuzziness": observed_fuzziness(pvalues, y_test),
         }
     return metrics

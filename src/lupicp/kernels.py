@@ -8,16 +8,14 @@ this library targets, and it keeps the QP solver simple).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "KernelSpec",
-    "GramMatrix",
     "rbf_eval",
-    "gram",
     "gram_matrix",
     "squared_distances",
     "rbf_from_squared_distances",
@@ -39,27 +37,6 @@ class KernelSpec:
             raise ValueError(f"unsupported kernel family: {self.family!r}")
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"kernel gamma must be a positive real, got {self.gamma!r}")
-
-
-@dataclass
-class GramMatrix:
-    """Dense cache of pairwise kernel values K(a_i, b_j).
-
-    rows_a / rows_b record which input rows produced each axis, so a
-    cross-Gram sliced out of a larger computation stays attributable.
-    """
-
-    values: np.ndarray
-    rows_a: np.ndarray = field(repr=False)
-    rows_b: np.ndarray = field(repr=False)
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
-def _num_rows(X) -> int:
-    return X.shape[0]
 
 
 def _num_cols(X) -> int:
@@ -109,16 +86,6 @@ def rbf_from_squared_distances(d: np.ndarray, gamma: float) -> np.ndarray:
 def gram_matrix(rows_a, rows_b, spec: KernelSpec) -> np.ndarray:
     """Dense kernel matrix with entry (i, j) = k(rows_a[i], rows_b[j])."""
     return rbf_from_squared_distances(squared_distances(rows_a, rows_b), spec.gamma)
-
-
-def gram(rows_a, rows_b, spec: KernelSpec) -> GramMatrix:
-    """Like :func:`gram_matrix` but wrapped with row provenance."""
-    values = gram_matrix(rows_a, rows_b, spec)
-    return GramMatrix(
-        values=values,
-        rows_a=np.arange(_num_rows(rows_a)),
-        rows_b=np.arange(_num_rows(rows_b)),
-    )
 
 
 def rbf_eval(a, b, spec: KernelSpec) -> float:

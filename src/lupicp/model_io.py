@@ -31,7 +31,37 @@ CALIBRATION_HEADER = "lupicp-calibration v1"
 
 
 class ModelFormatError(Exception):
-    pass
+    """Malformed model or calibration file; the message names path:line."""
+
+
+class _Lines:
+    """The lines of an open file, counted so that errors name path:line."""
+
+    def __init__(self, path, fh):
+        self.path = path
+        self.number = 0
+        self._fh = fh
+
+    def next(self, what: str) -> str:
+        self.number += 1
+        line = self._fh.readline()
+        if not line:
+            raise self.error(f"file ends where the {what} should be")
+        return line.rstrip("\n")
+
+    def error(self, message: str) -> ModelFormatError:
+        return ModelFormatError(f"{self.path}:{self.number}: {message}")
+
+
+def _parse(path, parser):
+    """Run ``parser`` over the file's lines; a value that does not parse
+    (a non-numeric field, an invalid kernel) names its line too."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = _Lines(path, fh)
+        try:
+            return parser(lines)
+        except (ValueError, OverflowError) as exc:  # ValueError covers UnicodeDecodeError
+            raise lines.error(str(exc)) from None
 
 
 def _write_rows(fh, coefficients, vectors):
@@ -55,14 +85,13 @@ def _read_rows(lines, count, dim, layout, what):
     else:
         data, indices, indptr = [], [], [0]
     for i in range(count):
-        try:
-            fields = next(lines).split()
-        except StopIteration:
-            raise ModelFormatError(f"truncated {what} block") from None
+        fields = lines.next(f"{what} row").split()
+        if not fields:
+            raise lines.error(f"blank {what} row")
         coefficients[i] = float(fields[0])
         if layout == "dense":
             if len(fields) - 1 != dim:
-                raise ModelFormatError(
+                raise lines.error(
                     f"{what} row {i}: expected {dim} values, got {len(fields) - 1}"
                 )
             vectors[i] = [float(v) for v in fields[1:]]
@@ -112,52 +141,56 @@ def save_model(path, model) -> None:
             _write_rows(fh, model.deltas, model.correcting_vectors)
 
 
-def _expect(lines, keyword):
-    try:
-        line = next(lines)
-    except StopIteration:
-        raise ModelFormatError(f"missing {keyword!r} line") from None
-    fields = line.split()
-    if not fields or fields[0] != keyword:
-        raise ModelFormatError(f"expected {keyword!r} line, got {line!r}")
+def _expect(lines, keyword, count=1):
+    """The ``count`` values of the next line, which must start with ``keyword``."""
+    fields = lines.next(f"{keyword!r} line").split()
+    if len(fields) != count + 1 or fields[0] != keyword:
+        raise lines.error(
+            f"expected {keyword!r} and {count} value(s), got {' '.join(fields)!r}"
+        )
     return fields[1:]
+
+
+def _expect_header(lines, header):
+    line = lines.next("header")
+    if line != header:
+        raise lines.error(f"bad header {line!r}")
 
 
 def load_model(path):
     """Inverse of :func:`save_model`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = iter(line.rstrip("\n") for line in fh)
-        header = next(lines, "")
-        if header != MODEL_HEADER:
-            raise ModelFormatError(f"bad header {header!r}")
-        kind = _expect(lines, "type")[0]
-        family, gamma = _expect(lines, "kernel")
-        bias = float(_expect(lines, "bias")[0])
-        n, d, layout = _expect(lines, "support")
-        weights, support = _read_rows(lines, int(n), int(d), layout, "support")
-        decision = DecisionModel(
-            support_vectors=support,
-            weights=weights,
-            bias=bias,
-            kernel=KernelSpec(gamma=float(gamma), family=family),
-        )
-        if kind == "svm":
-            return decision
-        if kind != "svmplus":
-            raise ModelFormatError(f"unknown model type {kind!r}")
-        family, gamma = _expect(lines, "correcting_kernel")
-        gamma_plus = float(_expect(lines, "gamma_plus")[0])
-        bias_star = float(_expect(lines, "bias_star")[0])
-        n, d, layout = _expect(lines, "correcting")
-        deltas, vectors = _read_rows(lines, int(n), int(d), layout, "correcting")
-        return SvmPlusModel(
-            decision=decision,
-            deltas=deltas,
-            bias_star=bias_star,
-            correcting_kernel=KernelSpec(gamma=float(gamma), family=family),
-            correcting_vectors=vectors,
-            gamma_plus=gamma_plus,
-        )
+    return _parse(path, _parse_model)
+
+
+def _parse_model(lines):
+    _expect_header(lines, MODEL_HEADER)
+    (kind,) = _expect(lines, "type")
+    if kind not in ("svm", "svmplus"):
+        raise lines.error(f"unknown model type {kind!r}")
+    family, gamma = _expect(lines, "kernel", 2)
+    kernel = KernelSpec(gamma=float(gamma), family=family)
+    bias = float(_expect(lines, "bias")[0])
+    n, d, layout = _expect(lines, "support", 3)
+    weights, support = _read_rows(lines, int(n), int(d), layout, "support")
+    decision = DecisionModel(
+        support_vectors=support, weights=weights, bias=bias, kernel=kernel,
+    )
+    if kind == "svm":
+        return decision
+    family, gamma = _expect(lines, "correcting_kernel", 2)
+    correcting_kernel = KernelSpec(gamma=float(gamma), family=family)
+    gamma_plus = float(_expect(lines, "gamma_plus")[0])
+    bias_star = float(_expect(lines, "bias_star")[0])
+    n, d, layout = _expect(lines, "correcting", 3)
+    deltas, vectors = _read_rows(lines, int(n), int(d), layout, "correcting")
+    return SvmPlusModel(
+        decision=decision,
+        deltas=deltas,
+        bias_star=bias_star,
+        correcting_kernel=correcting_kernel,
+        correcting_vectors=vectors,
+        gamma_plus=gamma_plus,
+    )
 
 
 def save_calibration(path, table: CalibrationTable) -> None:
@@ -171,18 +204,18 @@ def save_calibration(path, table: CalibrationTable) -> None:
 
 
 def load_calibration(path) -> CalibrationTable:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = iter(line.rstrip("\n") for line in fh)
-        header = next(lines, "")
-        if header != CALIBRATION_HEADER:
-            raise ModelFormatError(f"bad header {header!r}")
-        scores = {}
-        for expected in (-1, 1):
-            label_str, count = _expect(lines, "class")
-            label = int(label_str)
-            if label != expected:
-                raise ModelFormatError(f"expected class {expected}, got {label}")
-            scores[label] = np.array(
-                [float(next(lines)) for _ in range(int(count))]
-            )
-        return CalibrationTable(scores_by_class=scores)
+    return _parse(path, _parse_calibration)
+
+
+def _parse_calibration(lines) -> CalibrationTable:
+    _expect_header(lines, CALIBRATION_HEADER)
+    scores = {}
+    for expected in (-1, 1):
+        label_str, count = _expect(lines, "class", 2)
+        label, count = int(label_str), int(count)
+        if label != expected or count < 0:
+            raise lines.error(f"expected class {expected} and a count, got {label} {count}")
+        scores[label] = np.array(
+            [float(lines.next("calibration score")) for _ in range(count)]
+        )
+    return CalibrationTable(scores_by_class=scores)

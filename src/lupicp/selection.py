@@ -225,11 +225,15 @@ def _cell_key(C, gamma):
 
 
 def grid_search_svm(X, y, grid: GridSpec, k: int, seed: int,
-                    tol: float = 1e-8) -> GridSearchResult:
-    """Pick (C, gamma) with the highest mean k-fold validation accuracy."""
+                    tol: float = 1e-8, cache=None) -> GridSearchResult:
+    """Pick (C, gamma) with the highest mean k-fold validation accuracy.
+
+    ``cache`` may pass the fold distance blocks of X already built on
+    the folds of (k, seed), as :func:`tune_three_step` does.
+    """
     y = np.asarray(y)
-    folds = kfold_indices(y.shape[0], k, y, seed)
-    cache = _fold_distance_cache(X, folds)
+    if cache is None:
+        cache = _fold_distance_cache(X, kfold_indices(y.shape[0], k, y, seed))
     scores = {}
     for gamma in dict.fromkeys(grid.gamma_values):
         kernels = [
@@ -263,15 +267,19 @@ def grid_search_svm(X, y, grid: GridSpec, k: int, seed: int,
 
 
 def grid_search_svmplus(X, Xstar, y, grid: GridSpec, gamma1: float, gamma2: float,
-                        k: int, seed: int, tol: float = 1e-8) -> GridSearchResult:
+                        k: int, seed: int, tol: float = 1e-8,
+                        caches=None) -> GridSearchResult:
     """Search (C, gamma_plus) with both kernel widths held fixed.
 
     ``grid.gamma_values`` carries the gamma_plus candidates here.
+    ``caches`` may pass the fold distance blocks of X and of X* already
+    built on the folds of (k, seed), as :func:`tune_three_step` does.
     """
     y = np.asarray(y)
-    folds = kfold_indices(y.shape[0], k, y, seed)
-    cache = _fold_distance_cache(X, folds)
-    star_cache = _fold_distance_cache(Xstar, folds)
+    if caches is None:
+        folds = kfold_indices(y.shape[0], k, y, seed)
+        caches = (_fold_distance_cache(X, folds), _fold_distance_cache(Xstar, folds))
+    cache, star_cache = caches
     decision_kernel = KernelSpec(gamma=gamma1)
     correcting_kernel = KernelSpec(gamma=gamma2)
     kernels = [
@@ -328,14 +336,21 @@ def tune_three_step(X, Xstar, y, grid_x: GridSpec, grid_xstar: GridSpec,
     Step 1 tunes (C1, gamma1) with SVM on X; step 2 tunes (C2, gamma2)
     with SVM on X*; step 3 tunes the SVM+ pair (C, gamma_plus) with the
     kernel widths pinned to gamma1 and gamma2 from the first two steps.
+    All three steps share one set of folds, so each fold's distance
+    blocks are computed once per feature space.
     """
     grid_x.check_ranges(SVM_PARAMETER_RANGES, "SVM on X grid")
     grid_xstar.check_ranges(SVM_PARAMETER_RANGES, "SVM on X* grid")
     grid_plus.check_ranges(SVMPLUS_PARAMETER_RANGES, "SVM+ grid")
-    step1 = grid_search_svm(X, y, grid_x, k=k, seed=seed, tol=tol)
-    step2 = grid_search_svm(Xstar, y, grid_xstar, k=k, seed=seed, tol=tol)
+    folds = kfold_indices(len(y), k, y, seed)
+    cache = _fold_distance_cache(X, folds)
+    step1 = grid_search_svm(X, y, grid_x, k=k, seed=seed, tol=tol, cache=cache)
+    star_cache = _fold_distance_cache(Xstar, folds)
+    step2 = grid_search_svm(Xstar, y, grid_xstar, k=k, seed=seed, tol=tol,
+                            cache=star_cache)
     step3 = grid_search_svmplus(
         X, Xstar, y, grid_plus,
         gamma1=step1.gamma, gamma2=step2.gamma, k=k, seed=seed, tol=tol,
+        caches=(cache, star_cache),
     )
     return ThreeStepResult(svm_x=step1, svm_xstar=step2, svmplus=step3)

@@ -24,8 +24,6 @@ __all__ = [
     "DecisionModel",
     "TrainingError",
     "svm_train",
-    "decision_value",
-    "predict_label",
 ]
 
 logger = logging.getLogger(__name__)
@@ -187,12 +185,3 @@ def svm_train(X, y, cfg: SvmConfig, tol: float = 1e-8, max_iter: int = 200,
         kkt_residual=sol.kkt_residual,
     )
 
-
-def decision_value(m: DecisionModel, x) -> float:
-    """Decision function at a single feature vector."""
-    return m.decision_value(x)
-
-
-def predict_label(m: DecisionModel, x) -> int:
-    """Sign of the decision value; an exact zero maps to +1."""
-    return m.predict_label(x)

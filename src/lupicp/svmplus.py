@@ -35,8 +35,6 @@ __all__ = [
     "SvmPlusModel",
     "BiasRecoveryWarning",
     "svmplus_train",
-    "svmplus_decision",
-    "correcting_value",
 ]
 
 SUPPORT_TOL = 1e-6
@@ -230,12 +228,3 @@ def _crosscheck_biases(K, Kstar, y, alpha, deltas, gamma_plus, bias, bias_star):
             BiasRecoveryWarning,
         )
 
-
-def svmplus_decision(m: SvmPlusModel, x) -> float:
-    """Decision value at x; privileged features are not required."""
-    return m.decision_value(x)
-
-
-def correcting_value(m: SvmPlusModel, xstar) -> float:
-    """Modeled slack at a privileged vector (diagnostic only)."""
-    return m.correcting_value(xstar)

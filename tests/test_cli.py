@@ -5,7 +5,7 @@ import pytest
 
 from lupicp.cli import main
 from lupicp.dataio import write_feature_file, write_idx_images, write_idx_labels
-from conftest import write_experiment_config
+from conftest import triplet_blobs, write_experiment_config
 
 
 @pytest.fixture
@@ -49,6 +49,31 @@ def test_tune_prints_selected_cells(tmp_path, config_path, capsys):
         "C": 1.0, "gamma": 0.5, "cv_accuracy": selected["svm_x"]["cv_accuracy"],
     }
     assert selected["svmplus"]["gamma1"] == 0.5
+
+
+def test_tune_selects_what_experiment_selects(tmp_path, capsys):
+    # both commands cross-validate on the same proper rows and folds
+    from lupicp.dataio import write_labels
+
+    X, Xstar, y = triplet_blobs(60, seed=4, separation=1.0)
+    paths = {
+        "x": tmp_path / "x.csv", "xstar": tmp_path / "xs.csv",
+        "labels": tmp_path / "y.txt",
+    }
+    write_feature_file(paths["x"], X)
+    write_feature_file(paths["xstar"], Xstar)
+    write_labels(paths["labels"], y)
+    grids = {
+        "svm_x": {"C": [0.1, 1.0, 10.0], "gamma": [0.01, 0.1, 1.0]},
+        "svm_xstar": {"C": [1.0], "gamma": [0.2]},
+        "svmplus": {"C": [1.0], "gamma_plus": [0.1]},
+    }
+    cfg = write_experiment_config(tmp_path, paths, grids=grids, cv_folds=3, repetitions=1)
+    params, report = tmp_path / "params.json", tmp_path / "report.json"
+    assert main(["tune", "--config", str(cfg), "--out", str(params)]) == 0
+    assert main(["experiment", "--config", str(cfg), "--out", str(report)]) == 0
+    selected = json.loads(params.read_text())
+    assert selected == json.loads(report.read_text())["selected_parameters"]
 
 
 def test_tune_separable_data_reports_full_accuracy(tmp_path, capsys):
@@ -132,6 +157,47 @@ def test_predict_rejects_garbage_model(tmp_path, capsys):
         "--input", str(bad),
     ])
     assert code == 2
+
+
+def _replace_line(lines, index, text):
+    return lines[:index] + [text] + lines[index + 1:]
+
+
+# (file to damage, how, 1-based line the error must name); a model file
+# is header, type, kernel, bias, "support n d layout", then support rows;
+# a calibration file is header, "class -1 n", then n scores
+MALFORMED = {
+    "truncated calibration": ("calibration", lambda lines: lines[:4], 5),
+    "non-numeric model value": (
+        "model", lambda lines: _replace_line(lines, 5, "abc " + lines[5].split(" ", 1)[1]), 6,
+    ),
+    "non-numeric calibration value": (
+        "calibration", lambda lines: _replace_line(lines, 2, "abc"), 3,
+    ),
+    "blank calibration line": ("calibration", lambda lines: _replace_line(lines, 2, ""), 3),
+    "blank support row": ("model", lambda lines: _replace_line(lines, 5, ""), 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_predict_rejects_malformed_model_and_calibration(
+        tmp_path, config_path, triplet_files, capsys, case):
+    files = {"model": tmp_path / "model.txt", "calibration": tmp_path / "cal.txt"}
+    assert main([
+        "train", "--config", str(config_path), "--model", "svm-x",
+        "--cost", "1.0", "--gamma", "0.5",
+        "--out", str(files["model"]), "--calibration-out", str(files["calibration"]),
+    ]) == 0
+    which, damage, line = MALFORMED[case]
+    lines = files[which].read_text().splitlines()
+    files[which].write_text("\n".join(damage(lines)) + "\n")
+    capsys.readouterr()
+    code = main([
+        "predict", "--model", str(files["model"]),
+        "--calibration", str(files["calibration"]), "--input", str(triplet_files["x"]),
+    ])
+    assert code == 2
+    assert f"{files[which]}:{line}:" in capsys.readouterr().err
 
 
 def test_mnist_prepare(tmp_path, capsys):

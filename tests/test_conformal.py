@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from lupicp.conformal import (
     CalibrationTable,
-    PValuePair,
     accuracy,
     calibrate,
     conformity_score,
@@ -86,38 +85,40 @@ def test_adding_calibration_scores_moves_p(cal, score):
 
 
 def test_region_membership_rules():
-    assert predict_region(PValuePair(0.04, 0.60), 0.05).labels == {1}
-    assert predict_region(PValuePair(0.40, 0.60), 0.05).labels == {-1, 1}
-    assert predict_region(PValuePair(0.04, 0.03), 0.05).labels == frozenset()
+    regions = predict_region(np.array([[0.04, 0.60], [0.40, 0.60], [0.04, 0.03]]), 0.05)
+    assert regions.tolist() == [[False, True], [True, True], [False, False]]
     with pytest.raises(ValueError):
-        predict_region(PValuePair(0.5, 0.5), 0.0)
+        predict_region(np.array([[0.5, 0.5]]), 0.0)
 
 
 def test_region_nesting():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        pv = PValuePair(rng.uniform(), rng.uniform())
+        pv = rng.uniform(size=(1, 2))
         e1, e2 = sorted(rng.uniform(0.01, 0.99, size=2))
-        assert predict_region(pv, e2).labels <= predict_region(pv, e1).labels
+        # every label in the e2 region is in the e1 region
+        assert np.all(predict_region(pv, e2) <= predict_region(pv, e1))
 
 
 def test_observed_fuzziness_examples():
-    pairs = [PValuePair(p_minus=0.1, p_plus=0.9), PValuePair(p_minus=0.8, p_plus=0.3)]
+    pvalues = np.array([[0.1, 0.9], [0.8, 0.3]])  # columns p(-1), p(+1)
     truth = [1, -1]  # false-label p-values: 0.1 and 0.3
-    assert observed_fuzziness(pairs, truth) == pytest.approx(0.2)
-    zero = [PValuePair(0.0, 1.0), PValuePair(0.0, 0.5)]
+    assert observed_fuzziness(pvalues, truth) == pytest.approx(0.2)
+    zero = np.array([[0.0, 1.0], [0.0, 0.5]])
     assert observed_fuzziness(zero, [1, 1]) == 0.0
-    ones = [PValuePair(1.0, 0.2), PValuePair(1.0, 0.9)]
+    ones = np.array([[1.0, 0.2], [1.0, 0.9]])
     assert observed_fuzziness(ones, [1, 1]) == 1.0
     with pytest.raises(ValueError):
         observed_fuzziness([], [])
+    with pytest.raises(ValueError):
+        observed_fuzziness(pvalues, [1])
 
 
 def test_validity_deviation_all_p_one():
     grid = default_epsilon_grid()
-    pairs = [PValuePair(1.0, 1.0)] * 10
+    pvalues = np.ones((10, 2))
     truth = [-1] * 5 + [1] * 5
-    result = validity_deviation(pairs, truth, grid)
+    result = validity_deviation(pvalues, truth, grid)
     assert result.per_class[-1] == pytest.approx(0.5)
     assert result.per_class[1] == pytest.approx(0.5)
     assert result.pooled == pytest.approx(0.5)
@@ -128,23 +129,33 @@ def test_validity_deviation_uniform_p_values():
     grid = default_epsilon_grid()
     n = 100
     ps = (np.arange(n) + 1) / n
-    pairs = [PValuePair(p, p) for p in ps]
+    pvalues = np.column_stack([ps, ps])
     truth = [1] * n
-    result = validity_deviation(pairs, truth, grid)
+    result = validity_deviation(pvalues, truth, grid)
     assert result.per_class[1] <= 1.0 / (2 * len(grid))
     assert result.per_class[-1] is None  # class absent from the test set
     assert result.pooled == result.per_class[1]
 
 
 def test_validity_deviation_single_epsilon():
-    pairs = [PValuePair(0.25, 0.25)] * 2 + [PValuePair(0.75, 0.75)] * 2
-    result = validity_deviation(pairs, [1, 1, 1, 1], [0.5])
+    pvalues = np.array([[0.25, 0.25]] * 2 + [[0.75, 0.75]] * 2)
+    result = validity_deviation(pvalues, [1, 1, 1, 1], [0.5])
     assert result.per_class[1] == pytest.approx(0.0)
+
+
+def test_validity_deviation_reads_the_true_label_column():
+    # true-label p-values 0.9 never fall at or below 0.1: err = 0, so the
+    # deviation is 0.1 (the false-label column would give err = 1 and 0.9)
+    pvalues = np.array([[0.9, 0.05], [0.05, 0.9]])
+    result = validity_deviation(pvalues, [-1, 1], [0.1])
+    assert result.per_class == {-1: pytest.approx(0.1), 1: pytest.approx(0.1)}
 
 
 def test_validity_deviation_rejects_bad_grid():
     with pytest.raises(ValueError):
-        validity_deviation([PValuePair(0.5, 0.5)], [1], [0.0, 0.5])
+        validity_deviation(np.array([[0.5, 0.5]]), [1], [0.0, 0.5])
+    with pytest.raises(ValueError):
+        validity_deviation(np.array([[0.5, 0.5]]), [1, -1], [0.5])
 
 
 def test_accuracy_examples():
@@ -180,10 +191,18 @@ def test_pairs_from_decision_values_match_scalar_path():
     model = svm_train(X, y, SvmConfig(C=1.0, kernel=KernelSpec(0.5)))
     t = calibrate(model, X[:20], y[:20])
     values = model.decision_values(X[20:])
-    pairs = pairs_from_decision_values(t, values)
-    for pv, v in zip(pairs, values):
-        assert pv.p_minus == pytest.approx(mondrian_pvalue(t, -v, -1))
-        assert pv.p_plus == pytest.approx(mondrian_pvalue(t, v, 1))
+    pvalues = pairs_from_decision_values(t, values)
+    assert pvalues.shape == (10, 2)
+    for (p_minus, p_plus), v in zip(pvalues, values):
+        assert p_minus == pytest.approx(mondrian_pvalue(t, -v, -1))
+        assert p_plus == pytest.approx(mondrian_pvalue(t, v, 1))
+
+
+def test_pairs_from_decision_values_vacuous_class_gives_p_one():
+    t = CalibrationTable(scores_by_class={1: [0.1, 0.2]})
+    pvalues = pairs_from_decision_values(t, [-5.0, 0.15])
+    assert pvalues[:, 0].tolist() == [1.0, 1.0]
+    assert pvalues[:, 1].tolist() == [1 / 3, 2 / 3]
 
 
 def test_true_class_pvalues_stochastically_above_uniform():

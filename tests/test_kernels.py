@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from lupicp.kernels import (
     KernelSpec,
-    gram,
     gram_matrix,
     rbf_eval,
     squared_distances,
@@ -63,9 +62,9 @@ def test_rbf_symmetry_and_range(a, b, gamma):
 
 def test_gram_single_vector():
     X = np.array([[1.0, 2.0]])
-    g = gram(X, X, KernelSpec(0.7))
-    assert g.values.shape == (1, 1)
-    assert g.values[0, 0] == 1.0
+    values = gram_matrix(X, X, KernelSpec(0.7))
+    assert values.shape == (1, 1)
+    assert values[0, 0] == 1.0
 
 
 def test_gram_identical_rows():

@@ -97,3 +97,22 @@ def test_truncated_model_rejected(tmp_path):
     (tmp_path / "cut.txt").write_text("\n".join(lines[:6]) + "\n")
     with pytest.raises(ModelFormatError):
         load_model(tmp_path / "cut.txt")
+
+
+def test_negative_calibration_count_rejected(tmp_path):
+    path = tmp_path / "cal.txt"
+    path.write_text("lupicp-calibration v1\nclass -1 -2\nclass +1 1\n0.5\n")
+    with pytest.raises(ModelFormatError, match=f"{path}:2:"):
+        load_calibration(path)
+
+
+def test_sparse_index_overflow_rejected(tmp_path):
+    X = sp.random(16, 30, density=0.2, random_state=3, format="csr")
+    model = svm_train(X, np.array([-1, 1] * 8), SvmConfig(C=1.0, kernel=KernelSpec(0.1)))
+    path = tmp_path / "model.txt"
+    save_model(path, model)
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].split()[0] + " " + "9" * 30 + ":1.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError):
+        load_model(path)

@@ -11,6 +11,7 @@ from lupicp.selection import (
     stratified_split,
     tune_three_step,
 )
+from lupicp.kernels import squared_distances
 from conftest import triplet_blobs, two_blobs
 
 
@@ -177,6 +178,32 @@ def test_three_step_determinism():
     r1 = tune_three_step(X, Xstar, y, *grids, k=3, seed=9)
     r2 = tune_three_step(X, Xstar, y, *grids, k=3, seed=9)
     assert r1 == r2
+
+
+def test_three_step_builds_fold_distances_once(monkeypatch):
+    import lupicp.selection as selection
+
+    X, Xstar, y = triplet_blobs(30, seed=6)
+    grids = (
+        GridSpec((1.0, 5.0), (0.2, 0.8)),
+        GridSpec((1.0,), (0.3, 0.6)),
+        GridSpec((0.5, 1.0), (0.01, 0.1)),
+    )
+    step1 = grid_search_svm(X, y, grids[0], k=3, seed=9)
+    step2 = grid_search_svm(Xstar, y, grids[1], k=3, seed=9)
+    step3 = grid_search_svmplus(X, Xstar, y, grids[2], gamma1=step1.gamma,
+                                gamma2=step2.gamma, k=3, seed=9)
+    calls = []
+
+    def counted(A, B):
+        calls.append((A.shape, B.shape))
+        return squared_distances(A, B)
+
+    monkeypatch.setattr(selection, "squared_distances", counted)
+    result = tune_three_step(X, Xstar, y, *grids, k=3, seed=9)
+    assert (result.svm_x, result.svm_xstar, result.svmplus) == (step1, step2, step3)
+    # training and validation blocks, per fold, of X and of X*
+    assert len(calls) == 2 * 2 * 3
 
 
 def test_grid_search_svmplus_runs_with_fixed_widths():

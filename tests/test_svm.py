@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lupicp.kernels import KernelSpec, gram_matrix
-from lupicp.svm import DecisionModel, SvmConfig, decision_value, predict_label, svm_train
+from lupicp.svm import DecisionModel, SvmConfig, svm_train
 from conftest import two_blobs
 from oracles import qp_reference_solution
 
@@ -128,9 +128,9 @@ def test_tie_rule_and_sign_mapping():
     )
     assert model.predict_label([1.0, 1.0]) == 1  # exact zero -> +1
     model.bias = 0.7
-    assert predict_label(model, [0.0, 0.0]) == 1
+    assert model.predict_label([0.0, 0.0]) == 1
     model.bias = -0.7
-    assert predict_label(model, [0.0, 0.0]) == -1
+    assert model.predict_label([0.0, 0.0]) == -1
 
 
 def test_zero_weight_model_returns_bias():
@@ -140,7 +140,7 @@ def test_zero_weight_model_returns_bias():
         bias=0.25,
         kernel=KernelSpec(1.0),
     )
-    assert decision_value(model, [1.0, 2.0, 3.0]) == 0.25
+    assert model.decision_value([1.0, 2.0, 3.0]) == 0.25
 
 
 def test_decision_dimension_mismatch():

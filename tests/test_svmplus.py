@@ -7,9 +7,7 @@ from lupicp.kernels import KernelSpec, gram_matrix
 from lupicp.svmplus import (
     SvmPlusConfig,
     assemble_dual,
-    correcting_value,
     dual_objective_direct,
-    svmplus_decision,
     svmplus_train,
 )
 from conftest import triplet_blobs
@@ -88,7 +86,7 @@ def test_decision_matches_dense_loop():
             m.alpha[j] * y[j] * np.exp(-np.sum((X[j] - X[i]) ** 2))
             for j in range(6)
         ) + m.decision.bias
-        assert svmplus_decision(m, X[i]) == pytest.approx(expected, abs=1e-10)
+        assert m.decision_value(X[i]) == pytest.approx(expected, abs=1e-10)
 
 
 def test_label_flip_negates_decision():
@@ -140,7 +138,7 @@ def test_zero_delta_model_returns_bias_star():
     X, Xstar, y = random_instance(7)
     m = svmplus_train(X, Xstar, y, unit_config())
     m.deltas = np.zeros_like(m.deltas)
-    assert correcting_value(m, Xstar[0]) == pytest.approx(m.bias_star, abs=1e-12)
+    assert m.correcting_value(Xstar[0]) == pytest.approx(m.bias_star, abs=1e-12)
 
 
 def test_prediction_needs_no_privileged_features():
