@@ -15,6 +15,19 @@ method.  Convergence is declared on the same residual that
 without knowledge of solver internals.  Q is regularized with a 1e-10
 ridge before factorization to absorb the numerically rank-deficient Gram
 matrices RBF kernels tend to produce.
+
+Primal and dual variables take separate step lengths.  On rare
+instances that, together with Mehrotra's second-order correction, leaves
+the iteration cycling with a barrier parameter that never falls (in a QP
+the dual residual depends on x through Qx).  So while the residual has
+not improved for STALL_ITERATIONS iterations, the step is a plain
+centred Newton step (sigma = STALL_SIGMA) with one length for both.
+
+A tolerance on the KKT residual bounds x only loosely near a bound (a
+slack of 1e-6 against a multiplier of 1e-3 passes a 1e-8 tolerance), so
+the interior-point answer is polished: the bounds it shows as active are
+fixed and the remaining equality-constrained QP is solved directly.  The
+polished point replaces the interior one only when its residual is lower.
 """
 
 from __future__ import annotations
@@ -36,6 +49,10 @@ __all__ = [
 
 RIDGE = 1e-10
 FEASIBILITY_TOL = 1e-6
+# iterations without a lower residual before the safeguarded step takes over
+STALL_ITERATIONS = 10
+# centring of the safeguarded step
+STALL_SIGMA = 0.1
 
 
 class QpError(Exception):
@@ -318,25 +335,33 @@ def _ipm(Q, c, A, b, lower, upper, tol, max_iter, diagonal_q=False):
             )
             return a_p, a_d
 
-        # predictor (affine scaling)
-        t_l_aff = -sl * zl
-        t_u_aff = -su * zu
-        dx_a, dy_a, dzl_a, dzu_a = direction(t_l_aff, t_u_aff)
-        ap_a, ad_a = step_lengths(dx_a, dzl_a, dzu_a)
-        mu_aff = (
-            np.sum((sl + ap_a * dx_a)[finite_l] * (zl + ad_a * dzl_a)[finite_l])
-            + np.sum((su - ap_a * dx_a)[finite_u] * (zu + ad_a * dzu_a)[finite_u])
-        ) / n_pairs
-        sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3)
+        stalled = it - 1 - best[2] >= STALL_ITERATIONS
+        if stalled:
+            # plain centred Newton step
+            t_l = STALL_SIGMA * mu - sl * zl
+            t_u = STALL_SIGMA * mu - su * zu
+        else:
+            # predictor (affine scaling)
+            t_l_aff = -sl * zl
+            t_u_aff = -su * zu
+            dx_a, dy_a, dzl_a, dzu_a = direction(t_l_aff, t_u_aff)
+            ap_a, ad_a = step_lengths(dx_a, dzl_a, dzu_a)
+            mu_aff = (
+                np.sum((sl + ap_a * dx_a)[finite_l] * (zl + ad_a * dzl_a)[finite_l])
+                + np.sum((su - ap_a * dx_a)[finite_u] * (zu + ad_a * dzu_a)[finite_u])
+            ) / n_pairs
+            sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3)
 
-        # corrector
-        t_l = sigma * mu - sl * zl - dx_a * dzl_a
-        t_u = sigma * mu - su * zu + dx_a * dzu_a
+            # corrector
+            t_l = sigma * mu - sl * zl - dx_a * dzl_a
+            t_u = sigma * mu - su * zu + dx_a * dzu_a
         dx, dy, dzl_d, dzu_d = direction(t_l, t_u)
         ap, ad = step_lengths(dx, dzl_d, dzu_d)
         eta = max(0.995, 1.0 - mu)
         ap = min(1.0, eta * ap)
         ad = min(1.0, eta * ad)
+        if stalled:
+            ap = ad = min(ap, ad)
         if ap < 1e-13 and ad < 1e-13:
             break
         x = x + ap * dx
@@ -349,6 +374,74 @@ def _ipm(Q, c, A, b, lower, upper, tol, max_iter, diagonal_q=False):
     if res_now < res_b:
         x_b, y_b, it_b, res_b = x, y, it, res_now
     return x_b, y_b, it_b, trace, res_b
+
+
+def _solve_reduced_kkt(Q_ff, c, A, b):
+    """Solve Q_ff x - A'y = -c, A x = b by Cholesky and the Schur complement.
+
+    ``Q_ff`` is overwritten, so the solve needs no memory beyond that copy.
+    """
+    Q_ff[np.diag_indices_from(Q_ff)] += RIDGE
+    factor = scipy.linalg.cho_factor(Q_ff, lower=True, overwrite_a=True, check_finite=False)
+    x = -scipy.linalg.cho_solve(factor, c, check_finite=False)
+    if not A.shape[0]:
+        return x, np.zeros(0)
+    w = scipy.linalg.cho_solve(factor, A.T, check_finite=False)
+    y = np.linalg.solve(A @ w, b - A @ x)
+    return x + w @ y, y
+
+
+def _polish(p: QpProblem, x, y, res, max_rounds=10):
+    """Re-solve with the apparently active bounds fixed: (x, y, residual).
+
+    A bound counts as active where the projected gradient's multiplier
+    exceeds the slack, the usual interior-point indicator.  That guess
+    can be wrong for a variable that sits near a bound with a near-zero
+    multiplier, so each round also fixes free variables that crossed a
+    bound and frees fixed ones whose multiplier has the wrong sign, until
+    the set stops changing.  Returns the inputs unchanged when a reduced
+    system is singular or the result has no lower residual.
+    """
+    finite_l = np.isfinite(p.lower)
+    finite_u = np.isfinite(p.upper)
+    g = p.Q @ x + p.c
+    if p.A.shape[0]:
+        g = g - p.A.T @ y
+    at_lower = finite_l & (g > 0) & (x - p.lower < g)
+    at_upper = finite_u & (g < 0) & (p.upper - x < -g)
+    for _ in range(max_rounds):
+        free = ~(at_lower | at_upper)
+        fixed = np.where(at_lower, p.lower, np.where(at_upper, p.upper, 0.0))
+        x_new = fixed.copy()
+        y_new = y  # kept when no free variable is left to determine it
+        if free.any():
+            bound = ~free
+            try:
+                x_f, y_new = _solve_reduced_kkt(
+                    p.Q[np.ix_(free, free)],
+                    p.c[free] + p.Q[np.ix_(free, bound)] @ fixed[bound],
+                    p.A[:, free],
+                    p.b - p.A[:, bound] @ fixed[bound],
+                )
+            except np.linalg.LinAlgError:
+                return x, y, res
+            if not (np.all(np.isfinite(x_f)) and np.all(np.isfinite(y_new))):
+                return x, y, res
+            x_new[free] = x_f
+        g = p.Q @ x_new + p.c
+        if p.A.shape[0]:
+            g = g - p.A.T @ y_new
+        new_lower = (free & finite_l & (x_new < p.lower)) | (at_lower & (g >= 0))
+        new_upper = (free & finite_u & (x_new > p.upper)) | (at_upper & (g <= 0))
+        if np.array_equal(new_lower, at_lower) and np.array_equal(new_upper, at_upper):
+            break
+        at_lower, at_upper = new_lower, new_upper
+    else:
+        return x, y, res
+    res_new = _residual_terms(p, x_new, y_new)
+    if res_new < res:
+        return x_new, y_new, res_new
+    return x, y, res
 
 
 def _quick_feasible_point(A, b, lower, upper):
@@ -406,6 +499,7 @@ def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution
     x, y, iters, trace, res = _ipm(
         p.Q, p.c, p.A, p.b, p.lower, p.upper, tol=tol, max_iter=max_iter
     )
+    x, y, res = _polish(p, x, y, res)
     solution = QpSolution(
         x=x,
         objective=p.objective(x),

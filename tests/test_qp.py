@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lupicp.qp import (
@@ -43,6 +43,16 @@ def test_separable_coordinatewise():
     s = solve_qp(p)
     assert np.allclose(s.x, [1.0, 2.0], atol=1e-7)
     assert s.objective == pytest.approx(-2.5, abs=1e-8)
+
+
+def test_active_bounds_hold_exactly():
+    # the optimum (1, 0.3) has the first upper bound active; the free
+    # coordinate is off only by the 1e-10 ridge
+    p = box_problem(np.eye(2), [-2.0, -0.3], [], 0.0, 1.0)
+    s = solve_qp(p)
+    assert s.x[0] == 1.0
+    assert s.x[1] == pytest.approx(0.3, abs=1e-9)
+    assert s.kkt_residual <= 1e-9
 
 
 def test_matches_reference_oracle_on_random_instances():
@@ -140,6 +150,14 @@ def test_monotone_objective_on_feasible_iterates(seed):
 
 @given(seed=st.integers(0, 10_000), scale=st.sampled_from([0.1, 10.0, 137.0]))
 @settings(max_examples=20, deadline=None)
+# a bound active at the optimum, loosely located by the interior point
+@example(seed=141, scale=0.1)
+@example(seed=440, scale=10.0)
+# a variable 1.6e-5 inside its bound with a zero multiplier
+@example(seed=402, scale=0.1)
+# separate primal and dual step lengths cycled here without converging
+@example(seed=954, scale=10.0)
+@example(seed=2449, scale=137.0)
 def test_scaling_invariance(seed, scale):
     rng = np.random.default_rng(seed)
     p = random_instance(rng, n=4, n_eq=1)
