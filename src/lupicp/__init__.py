@@ -25,7 +25,6 @@ from .experiment import ExperimentConfig, ExperimentReport, run_experiment
 from .kernels import KernelSpec, gram_matrix, rbf_eval
 from .model_io import load_calibration, load_model, save_calibration, save_model
 from .qp import (
-    QpInfeasibleError,
     QpNonConvergenceError,
     QpProblem,
     QpSolution,

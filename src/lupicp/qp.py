@@ -1,13 +1,12 @@
-"""Dense convex quadratic programming with box bounds and up to two
-linear equality constraints.
+"""Dense convex quadratic programming for the SVM and SVM+ duals.
 
     minimize    0.5 x'Qx + c'x
-    subject to  A x = b                 (0, 1 or 2 rows)
-                lower <= x <= upper     (either side may be infinite)
+    subject to  A x = b                 (0, 1 or 2 independent rows)
+                lower <= x <= upper     (lower finite, upper may be infinite)
 
 This is exactly the shape of both the soft-margin SVM dual (n variables,
-one equality) and the SVM+ dual (2n variables, two equalities), so one
-solver serves both trainers.
+one equality, 0 <= x <= C) and the SVM+ dual (2n variables, two
+equalities, x >= 0), so one solver serves both trainers.
 
 The algorithm is a Mehrotra-style predictor-corrector interior-point
 method.  Convergence is declared on the same residual that
@@ -28,6 +27,11 @@ slack of 1e-6 against a multiplier of 1e-3 passes a 1e-8 tolerance), so
 the interior-point answer is polished: the bounds it shows as active are
 fixed and the remaining equality-constrained QP is solved directly.  The
 polished point replaces the interior one only when its residual is lower.
+
+There is no phase one, because both duals are feasible by construction.
+An infeasible or degenerate problem ends in :class:`QpNonConvergenceError`,
+whose message names why the iteration stopped; linearly dependent
+equality rows are rejected up front with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -41,14 +45,12 @@ __all__ = [
     "QpProblem",
     "QpSolution",
     "QpError",
-    "QpInfeasibleError",
     "QpNonConvergenceError",
     "solve_qp",
     "kkt_residual",
 ]
 
 RIDGE = 1e-10
-FEASIBILITY_TOL = 1e-6
 # iterations without a lower residual before the safeguarded step takes over
 STALL_ITERATIONS = 10
 # centring of the safeguarded step
@@ -59,12 +61,8 @@ class QpError(Exception):
     """Base class for solver failures."""
 
 
-class QpInfeasibleError(QpError):
-    """The equality constraints admit no point inside the bounds."""
-
-
 class QpNonConvergenceError(QpError):
-    """Iteration limit hit with residual above tolerance.
+    """The iteration stopped with the residual above tolerance.
 
     Carries the best iterate found so callers can decide whether it is
     still usable at a looser tolerance.
@@ -126,8 +124,12 @@ class QpProblem:
         asym = np.max(np.abs(self.Q - self.Q.T)) if n else 0.0
         if asym > 1e-10:
             raise ValueError(f"Q is not symmetric: max |Q - Q'| = {asym:.3e}")
+        if not np.all(np.isfinite(self.lower)):
+            raise ValueError("lower bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
+        if m and np.linalg.matrix_rank(self.A) < m:
+            raise ValueError("equality constraint rows are linearly dependent")
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ (self.Q @ x) + self.c @ x)
@@ -135,11 +137,17 @@ class QpProblem:
 
 @dataclass
 class QpSolution:
+    """``stop_reason`` is ``converged`` when ``kkt_residual`` meets the
+    tolerance, else why the interior-point loop stopped: ``slack
+    collapse``, ``factorization failed``, ``step too small`` or
+    ``max_iter``."""
+
     x: np.ndarray
     objective: float
     eq_multipliers: np.ndarray
     kkt_residual: float
     iterations: int
+    stop_reason: str
     trace: list = field(default_factory=list, repr=False)
 
 
@@ -191,29 +199,8 @@ def kkt_residual(p: QpProblem, x, multipliers=()) -> float:
 
 
 def _start_point(lower, upper):
-    finite_l = np.isfinite(lower)
-    finite_u = np.isfinite(upper)
-    x = np.zeros(lower.shape[0])
-    both = finite_l & finite_u
-    x[both] = 0.5 * (lower[both] + upper[both])
-    only_l = finite_l & ~finite_u
-    x[only_l] = lower[only_l] + 1.0
-    only_u = finite_u & ~finite_l
-    x[only_u] = upper[only_u] - 1.0
-    return x
-
-
-def _solve_equality_kkt(Qr, c, A, b):
-    # no inequality bounds: one symmetric indefinite solve
-    n = c.shape[0]
-    m = A.shape[0]
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = Qr
-    K[:n, n:] = -A.T
-    K[n:, :n] = A
-    rhs = np.concatenate([-c, b])
-    sol = np.linalg.solve(K, rhs)
-    return sol[:n], sol[n : n + m]
+    """Mid-box where the upper bound is finite, else one above the lower."""
+    return np.where(np.isfinite(upper), 0.5 * (lower + upper), lower + 1.0)
 
 
 def _max_step(v, dv):
@@ -224,45 +211,37 @@ def _max_step(v, dv):
     return float(min(1.0, np.min(v[mask] / -dv[mask])))
 
 
-def _ipm(Q, c, A, b, lower, upper, tol, max_iter, diagonal_q=False):
-    """Predictor-corrector loop.  Returns (x, y, iters, trace, residual)."""
+def _ipm(p: QpProblem, tol, max_iter):
+    """Predictor-corrector loop.
+
+    Returns (x, y, iterations, trace, residual, stop reason) for the best
+    iterate seen.
+    """
+    Q, c, A, b, lower, upper = p.Q, p.c, p.A, p.b, p.lower, p.upper
     n = c.shape[0]
     m = A.shape[0]
-    problem = QpProblem(Q=Q, c=c, A=A, b=b, lower=lower, upper=upper)
-    finite_l = np.isfinite(lower)
     finite_u = np.isfinite(upper)
-    n_pairs = int(finite_l.sum() + finite_u.sum())
-
-    if diagonal_q:
-        q_diag = np.diagonal(Q).copy() + RIDGE
-    else:
-        diag_idx = np.arange(n)
-        m_work = np.empty_like(Q)  # reused per iteration; potrf overwrites it
-
-    if n_pairs == 0:
-        x, y = _solve_equality_kkt(Q + RIDGE * np.eye(n), c, A, b)
-        res = _residual_terms(problem, x, y)
-        return x, y, 0, [], res
+    n_pairs = n + int(finite_u.sum())
+    diag_idx = np.arange(n)
+    m_work = np.empty_like(Q)  # reused per iteration; potrf overwrites it
 
     x = _start_point(lower, upper)
     y = np.zeros(m)
-    zl = np.where(finite_l, 1.0, 0.0)
+    zl = np.ones(n)
     zu = np.where(finite_u, 1.0, 0.0)
 
     trace = []
     best = None
+    reason = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
         Qx = Q @ x
-        res = _residual_terms(problem, x, y, Qx=Qx)
+        res = _residual_terms(p, x, y, Qx=Qx)
         obj = float(0.5 * x @ Qx + c @ x)
         primal_inf = float(np.max(np.abs(A @ x - b))) if m else 0.0
-        sl = np.where(finite_l, x - lower, 1.0)
+        sl = x - lower
         su = np.where(finite_u, upper - x, 1.0)
-        mu = (
-            float(np.sum(sl[finite_l] * zl[finite_l]) + np.sum(su[finite_u] * zu[finite_u]))
-            / n_pairs
-        )
+        mu = float(np.sum(sl * zl) + np.sum(su[finite_u] * zu[finite_u])) / n_pairs
         trace.append(
             {
                 "iteration": it - 1,
@@ -275,42 +254,35 @@ def _ipm(Q, c, A, b, lower, upper, tol, max_iter, diagonal_q=False):
         if best is None or res < best[-1]:
             best = (x.copy(), y.copy(), it - 1, res)
         if res <= tol:
-            return x, y, it - 1, trace, res
+            return x, y, it - 1, trace, res, "converged"
 
         # slacks can collapse to zero at float precision near the solution
-        if np.any(sl[finite_l] <= 0.0) or np.any(su[finite_u] <= 0.0):
+        if np.any(sl <= 0.0) or np.any(su[finite_u] <= 0.0):
+            reason = "slack collapse"
             break
 
-        d = np.zeros(n)
-        d[finite_l] += zl[finite_l] / sl[finite_l]
+        d = zl / sl
         d[finite_u] += zu[finite_u] / su[finite_u]
+        np.copyto(m_work, Q)
+        m_work[diag_idx, diag_idx] += d + RIDGE
+        try:
+            factor = scipy.linalg.cho_factor(
+                m_work, lower=True, overwrite_a=True, check_finite=False
+            )
+        except np.linalg.LinAlgError:
+            reason = "factorization failed"
+            break
 
-        if diagonal_q:
-            m_diag = q_diag + d
-
-            def solve_m(rhs, m_diag=m_diag):
-                return rhs / m_diag if rhs.ndim == 1 else rhs / m_diag[:, None]
-
-        else:
-            np.copyto(m_work, Q)
-            m_work[diag_idx, diag_idx] += d + RIDGE
-            try:
-                factor = scipy.linalg.cho_factor(
-                    m_work, lower=True, overwrite_a=True, check_finite=False
-                )
-            except np.linalg.LinAlgError:
-                break
-
-            def solve_m(rhs, factor=factor):
-                return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        def solve_m(rhs, factor=factor):
+            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
         if m:
             at_solved = solve_m(A.T)
 
         def direction(t_l, t_u):
             f = -(Qx + c - (A.T @ y if m else 0.0) - zl + zu)
-            f = f + np.where(finite_l, t_l / np.where(finite_l, sl, 1.0), 0.0)
-            f = f - np.where(finite_u, t_u / np.where(finite_u, su, 1.0), 0.0)
+            f = f + t_l / sl
+            f = f - np.where(finite_u, t_u / su, 0.0)
             f_solved = solve_m(f)
             if m:
                 r_p = A @ x - b
@@ -320,19 +292,13 @@ def _ipm(Q, c, A, b, lower, upper, tol, max_iter, diagonal_q=False):
             else:
                 dy = np.zeros(0)
                 dx = f_solved
-            dzl = np.where(finite_l, (t_l - zl * dx) / np.where(finite_l, sl, 1.0), 0.0)
-            dzu = np.where(finite_u, (t_u + zu * dx) / np.where(finite_u, su, 1.0), 0.0)
+            dzl = (t_l - zl * dx) / sl
+            dzu = np.where(finite_u, (t_u + zu * dx) / su, 0.0)
             return dx, dy, dzl, dzu
 
         def step_lengths(dx, dzl, dzu):
-            a_p = min(
-                _max_step(sl[finite_l], dx[finite_l]),
-                _max_step(su[finite_u], -dx[finite_u]),
-            )
-            a_d = min(
-                _max_step(zl[finite_l], dzl[finite_l]),
-                _max_step(zu[finite_u], dzu[finite_u]),
-            )
+            a_p = min(_max_step(sl, dx), _max_step(su[finite_u], -dx[finite_u]))
+            a_d = min(_max_step(zl, dzl), _max_step(zu[finite_u], dzu[finite_u]))
             return a_p, a_d
 
         stalled = it - 1 - best[2] >= STALL_ITERATIONS
@@ -347,7 +313,7 @@ def _ipm(Q, c, A, b, lower, upper, tol, max_iter, diagonal_q=False):
             dx_a, dy_a, dzl_a, dzu_a = direction(t_l_aff, t_u_aff)
             ap_a, ad_a = step_lengths(dx_a, dzl_a, dzu_a)
             mu_aff = (
-                np.sum((sl + ap_a * dx_a)[finite_l] * (zl + ad_a * dzl_a)[finite_l])
+                np.sum((sl + ap_a * dx_a) * (zl + ad_a * dzl_a))
                 + np.sum((su - ap_a * dx_a)[finite_u] * (zu + ad_a * dzu_a)[finite_u])
             ) / n_pairs
             sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3)
@@ -363,17 +329,18 @@ def _ipm(Q, c, A, b, lower, upper, tol, max_iter, diagonal_q=False):
         if stalled:
             ap = ad = min(ap, ad)
         if ap < 1e-13 and ad < 1e-13:
+            reason = "step too small"
             break
         x = x + ap * dx
         y = y + ad * dy
-        zl = np.where(finite_l, zl + ad * dzl_d, 0.0)
+        zl = zl + ad * dzl_d
         zu = np.where(finite_u, zu + ad * dzu_d, 0.0)
 
     x_b, y_b, it_b, res_b = best
-    res_now = _residual_terms(problem, x, y)
+    res_now = _residual_terms(p, x, y)
     if res_now < res_b:
         x_b, y_b, it_b, res_b = x, y, it, res_now
-    return x_b, y_b, it_b, trace, res_b
+    return x_b, y_b, it_b, trace, res_b, reason
 
 
 def _solve_reduced_kkt(Q_ff, c, A, b):
@@ -402,12 +369,11 @@ def _polish(p: QpProblem, x, y, res, max_rounds=10):
     the set stops changing.  Returns the inputs unchanged when a reduced
     system is singular or the result has no lower residual.
     """
-    finite_l = np.isfinite(p.lower)
     finite_u = np.isfinite(p.upper)
     g = p.Q @ x + p.c
     if p.A.shape[0]:
         g = g - p.A.T @ y
-    at_lower = finite_l & (g > 0) & (x - p.lower < g)
+    at_lower = (g > 0) & (x - p.lower < g)
     at_upper = finite_u & (g < 0) & (p.upper - x < -g)
     for _ in range(max_rounds):
         free = ~(at_lower | at_upper)
@@ -431,7 +397,7 @@ def _polish(p: QpProblem, x, y, res, max_rounds=10):
         g = p.Q @ x_new + p.c
         if p.A.shape[0]:
             g = g - p.A.T @ y_new
-        new_lower = (free & finite_l & (x_new < p.lower)) | (at_lower & (g >= 0))
+        new_lower = (free & (x_new < p.lower)) | (at_lower & (g >= 0))
         new_upper = (free & finite_u & (x_new > p.upper)) | (at_upper & (g <= 0))
         if np.array_equal(new_lower, at_lower) and np.array_equal(new_upper, at_upper):
             break
@@ -444,43 +410,14 @@ def _polish(p: QpProblem, x, y, res, max_rounds=10):
     return x, y, res
 
 
-def _quick_feasible_point(A, b, lower, upper):
-    """Cheap constructive feasibility certificate, or None."""
-    candidates = [np.clip(np.zeros(lower.shape[0]), lower, upper), _start_point(lower, upper)]
-    try:
-        ls = A.T @ np.linalg.solve(A @ A.T, b)
-        candidates.append(np.clip(ls, lower, upper))
-    except np.linalg.LinAlgError:
-        pass
-    for x in candidates:
-        if np.max(np.abs(A @ x - b)) <= 1e-9:
-            return x
-    return None
-
-
-def _phase_one(A, b, lower, upper, max_iter):
-    """LP min sum(r) over Ax + r_pos - r_neg = b; returns residual norm."""
-    m, n = A.shape
-    n_ext = n + 2 * m
-    Q = np.zeros((n_ext, n_ext))
-    c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    A_ext = np.hstack([A, np.eye(m), -np.eye(m)])
-    lo = np.concatenate([lower, np.zeros(2 * m)])
-    hi = np.concatenate([upper, np.full(2 * m, np.inf)])
-    x, _, _, _, _ = _ipm(
-        Q, c, A_ext, b, lo, hi, tol=1e-9, max_iter=max_iter, diagonal_q=True
-    )
-    artificial = float(np.sum(np.abs(x[n:])))
-    return artificial
-
-
 def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
     """Solve the QP to the requested KKT residual.
 
-    Raises :class:`QpInfeasibleError` when the phase-one pre-solve leaves
-    more than 1e-6 of constraint violation, and
+    Runs no feasibility pre-solve.  Raises ``ValueError`` for a malformed
+    problem, linearly dependent equality rows included, and
     :class:`QpNonConvergenceError` (carrying the best iterate) when the
-    iteration limit is reached first.
+    residual stays above ``tol``, as it does on an infeasible problem; its
+    message ends with the reason the iteration stopped.
     """
     p.validate()
     if not (tol > 0):
@@ -488,17 +425,7 @@ def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    if p.A.shape[0] and _quick_feasible_point(p.A, p.b, p.lower, p.upper) is None:
-        infeasibility = _phase_one(p.A, p.b, p.lower, p.upper, max_iter=100)
-        if infeasibility > FEASIBILITY_TOL:
-            raise QpInfeasibleError(
-                f"equality constraints unreachable within bounds "
-                f"(phase-one residual {infeasibility:.3e})"
-            )
-
-    x, y, iters, trace, res = _ipm(
-        p.Q, p.c, p.A, p.b, p.lower, p.upper, tol=tol, max_iter=max_iter
-    )
+    x, y, iters, trace, res, reason = _ipm(p, tol=tol, max_iter=max_iter)
     x, y, res = _polish(p, x, y, res)
     solution = QpSolution(
         x=x,
@@ -506,12 +433,13 @@ def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution
         eq_multipliers=y,
         kkt_residual=res,
         iterations=iters,
+        stop_reason="converged" if res <= tol else reason,
         trace=trace,
     )
     if res > tol:
         raise QpNonConvergenceError(
             f"KKT residual {res:.3e} above tolerance {tol:.1e} "
-            f"after {iters} iterations",
+            f"after {iters} iterations: {reason}",
             best=solution,
         )
     return solution

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lupicp.cli import main
 from lupicp.dataio import write_feature_file, write_idx_images, write_idx_labels
@@ -198,6 +200,52 @@ def test_predict_rejects_malformed_model_and_calibration(
     ])
     assert code == 2
     assert f"{files[which]}:{line}:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def svmplus_files(tmp_path_factory):
+    """Input rows, and the model and calibration files of an SVM+ train."""
+    from lupicp.dataio import write_labels
+
+    work = tmp_path_factory.mktemp("svmplus")
+    X, Xstar, y = triplet_blobs(40, seed=11)
+    paths = {"x": work / "x.csv", "xstar": work / "xs.csv", "labels": work / "y.txt"}
+    write_feature_file(paths["x"], X)
+    write_feature_file(paths["xstar"], Xstar)
+    write_labels(paths["labels"], y)
+    files = {"input": paths["x"], "model": work / "model.txt",
+             "calibration": work / "cal.txt"}
+    assert main([
+        "train", "--config", str(write_experiment_config(work, paths)),
+        "--model", "svm-plus", "--cost", "1.0", "--gamma-plus", "0.1",
+        "--gamma1", "0.5", "--gamma2", "0.2",
+        "--out", str(files["model"]), "--calibration-out", str(files["calibration"]),
+    ]) == 0
+    return files
+
+
+@settings(max_examples=50, deadline=None)
+@given(which=st.sampled_from(["model", "calibration"]), truncate=st.booleans(),
+       data=st.data())
+def test_predict_exits_cleanly_on_damaged_files(svmplus_files, which, truncate, data):
+    # any truncation or one-byte replacement either still parses or is a
+    # data error (exit 2), never an exception out of main
+    original = svmplus_files[which].read_bytes()
+    at = data.draw(st.integers(0, len(original) - 1), label="position")
+    if truncate:
+        damaged = original[:at]
+    else:
+        byte = data.draw(st.integers(0, 255), label="byte")
+        damaged = original[:at] + bytes([byte]) + original[at + 1:]
+    files = dict(svmplus_files)
+    files[which] = svmplus_files[which].with_name(f"damaged-{which}.txt")
+    files[which].write_bytes(damaged)
+    code = main([
+        "predict", "--model", str(files["model"]),
+        "--calibration", str(files["calibration"]), "--input", str(files["input"]),
+        "--out", str(files["input"].with_name("pred.tsv")),
+    ])
+    assert code in (0, 2)
 
 
 def test_mnist_prepare(tmp_path, capsys):

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lupicp.qp import (
-    QpInfeasibleError,
-    QpNonConvergenceError,
-    QpProblem,
-    kkt_residual,
-    solve_qp,
-)
+from lupicp.qp import QpNonConvergenceError, QpProblem, kkt_residual, solve_qp
 from oracles import qp_reference_solution
 
 
@@ -101,16 +95,21 @@ def test_kkt_residual_dimension_checks():
         kkt_residual(p, np.zeros(2), [])
 
 
-def test_infeasible_constraints_detected():
+def test_infeasible_constraints_end_without_convergence():
+    # no phase one: the iteration stops with a named reason and a
+    # residual that shows the equality cannot be met inside the box
     p = box_problem(np.eye(2), np.zeros(2), [([1.0, 1.0], 5.0)], 0.0, 1.0)
-    with pytest.raises(QpInfeasibleError):
+    with pytest.raises(QpNonConvergenceError) as info:
         solve_qp(p)
+    assert info.value.best.kkt_residual >= 1.0
+    assert info.value.best.stop_reason != "converged"
+    assert str(info.value).endswith(info.value.best.stop_reason)
     contradictory = box_problem(
         np.eye(2), np.zeros(2),
         [([1.0, 1.0], 1.0), ([1.0, 1.0], 2.0)],
         -10.0, 10.0,
     )
-    with pytest.raises(QpInfeasibleError):
+    with pytest.raises(ValueError, match="linearly dependent"):
         solve_qp(contradictory)
 
 
@@ -122,6 +121,8 @@ def test_nonconvergence_carries_best_iterate():
     best = info.value.best
     assert best.x.shape == (6,)
     assert best.kkt_residual > 1e-14
+    assert best.stop_reason == "max_iter"
+    assert str(info.value).endswith(": max_iter")
 
 
 def test_validation_rejects_bad_problems():
@@ -132,6 +133,12 @@ def test_validation_rejects_bad_problems():
     three = [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([1.0, 1.0], 0.0)]
     with pytest.raises(ValueError):
         solve_qp(box_problem(np.eye(2), np.zeros(2), three, 0.0, 1.0))
+    for duplicate in ([1.0, 1.0], [2.0, 2.0]):
+        dependent = [([1.0, 1.0], 1.0), (duplicate, float(sum(duplicate) / 2))]
+        with pytest.raises(ValueError, match="linearly dependent"):
+            solve_qp(box_problem(np.eye(2), np.zeros(2), dependent, -10.0, 10.0))
+    with pytest.raises(ValueError, match="finite"):
+        solve_qp(box_problem(np.eye(2), np.zeros(2), [], -np.inf, 1.0))
 
 
 @given(seed=st.integers(0, 10_000))
