@@ -13,14 +13,12 @@ import sys
 from pathlib import Path
 
 from .conformal import pairs_from_decision_values, predict_region
-from .dataio import DataFormatError, load_feature_file, write_feature_file, write_labels
-from .experiment import ExperimentError, load_config, run_experiment, split_rows, tune_for_config
-from .kernels import KernelSpec
+from .dataio import MNIST_LIMIT, DataFormatError, load_feature_file, write_feature_file, write_labels
+from .experiment import ExperimentError, decision_features, fit_model, load_config, run_experiment, split_rows, tune_for_config
 from .model_io import ModelFormatError, load_calibration, load_model, save_calibration, save_model
 from .qp import QpError
 from .selection import SearchError
-from .svm import SvmConfig, TrainingError, svm_train
-from .svmplus import SvmPlusConfig, svmplus_train
+from .svm import TrainingError
 from . import conformal
 
 EXIT_OK = 0
@@ -79,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True, help="IDX image file")
     p.add_argument("--labels", required=True, help="IDX label file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--limit", type=int, default=4000)
+    p.add_argument("--limit", type=int, default=MNIST_LIMIT)
     return parser
 
 
@@ -101,39 +99,30 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
+# --model choice -> (experiment model key, its parameter flags, usage text)
+TRAIN_MODELS = {
+    "svm-x": ("svm_x", ("gamma",), "svm-x / svm-xstar"),
+    "svm-xstar": ("svm_xstar", ("gamma",), "svm-x / svm-xstar"),
+    "svm-plus": ("svmplus", ("gamma_plus", "gamma1", "gamma2"), "svm-plus"),
+}
+
+
 def cmd_train(args) -> int:
+    key, names, needed_by = TRAIN_MODELS[args.model]
+    for name in names:
+        if getattr(args, name) is None:
+            _usage_error(f"--{name.replace('_', '-')} is required for {needed_by}")
+    params = {"C": args.cost, **{name: getattr(args, name) for name in names}}
     cfg = _load_config(args)
     data = cfg.dataset.load()
     _, _, proper, cal = split_rows(cfg, data.y)
-    y_p, y_c = data.y[proper], data.y[cal]
-    if args.model == "svm-plus":
-        for name in ("gamma_plus", "gamma1", "gamma2"):
-            if getattr(args, name) is None:
-                _usage_error(f"--{name.replace('_', '-')} is required for svm-plus")
-        model = svmplus_train(
-            data.X[proper], data.Xstar[proper], y_p,
-            SvmPlusConfig(
-                C=args.cost, gamma_plus=args.gamma_plus,
-                decision_kernel=KernelSpec(gamma=args.gamma1),
-                correcting_kernel=KernelSpec(gamma=args.gamma2),
-            ),
-            tol=cfg.qp_tol,
-        )
-        cal_features = data.X[cal]
-    else:
-        if args.gamma is None:
-            _usage_error("--gamma is required for svm-x / svm-xstar")
-        matrix = data.X if args.model == "svm-x" else data.Xstar
-        model = svm_train(
-            matrix[proper], y_p,
-            SvmConfig(C=args.cost, kernel=KernelSpec(gamma=args.gamma)),
-            tol=cfg.qp_tol,
-        )
-        cal_features = matrix[cal]
+    model = fit_model(key, params, data.X[proper], data.Xstar[proper], data.y[proper],
+                      cfg.qp_tol)
     save_model(args.out, model)
     print(f"model written to {args.out}")
     if args.calibration_out:
-        table = conformal.calibrate(model, cal_features, y_c)
+        cal_features = decision_features(key, data.X, data.Xstar)[cal]
+        table = conformal.calibrate(model, cal_features, data.y[cal])
         save_calibration(args.calibration_out, table)
         print(f"calibration table written to {args.calibration_out}")
     return EXIT_OK

@@ -29,11 +29,10 @@ from .conformal import (
     pairs_from_decision_values,
     validity_deviation,
 )
-from .dataio import TripletDataset, assemble_triplet, load_feature_file, load_labels, load_mnist_5v8
+from .dataio import MNIST_LIMIT, TripletDataset, assemble_triplet, load_feature_file, load_labels, load_mnist_5v8
 from .kernels import KernelSpec
 from .selection import (
     GridSpec,
-    SplitPlan,
     default_svm_grid,
     default_svmplus_grid,
     stratified_split,
@@ -47,6 +46,8 @@ __all__ = [
     "ExperimentReport",
     "ExperimentError",
     "run_experiment",
+    "fit_model",
+    "decision_features",
     "split_rows",
     "tune_for_config",
     "load_config",
@@ -77,7 +78,7 @@ class DatasetConfig:
     kind: str
     images: str | None = None
     labels: str | None = None
-    limit: int = 4000
+    limit: int = MNIST_LIMIT
     x_path: str | None = None
     x_format: str = "dense-csv"
     xstar_path: str | None = None
@@ -157,6 +158,12 @@ def _grid_from_dict(raw: dict, fallback: GridSpec) -> GridSpec:
     )
 
 
+# top-level config keys and their type conversions; absent keys keep
+# the ExperimentConfig defaults
+_SCALAR_KEYS = {"seed": int, "repetitions": int, "train_fraction": float,
+                "proper_fraction": float, "cv_folds": int, "qp_tol": float}
+
+
 def load_config(path) -> ExperimentConfig:
     """Experiment configuration from a JSON file (missing keys default)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -165,39 +172,28 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(ds, dict) or "kind" not in ds:
         raise ValueError(f"{path}: config needs a dataset section with a 'kind'")
     if ds["kind"] == "mnist-idx":
-        dataset = DatasetConfig(
-            kind="mnist-idx",
-            images=ds.get("images"),
-            labels=ds.get("labels"),
-            limit=int(ds.get("limit", 4000)),
-        )
+        fields = {"images": ds.get("images"), "labels": ds.get("labels")}
+        if "limit" in ds:
+            fields["limit"] = int(ds["limit"])
     elif ds["kind"] == "triplet-files":
-        dataset = DatasetConfig(
-            kind="triplet-files",
-            x_path=ds.get("x", {}).get("path"),
-            x_format=ds.get("x", {}).get("format", "dense-csv"),
-            xstar_path=ds.get("xstar", {}).get("path"),
-            xstar_format=ds.get("xstar", {}).get("format", "dense-csv"),
-            labels_path=ds.get("labels"),
-        )
+        fields = {"labels_path": ds.get("labels")}
+        for space in ("x", "xstar"):
+            part = ds.get(space, {})
+            fields[f"{space}_path"] = part.get("path")
+            if "format" in part:
+                fields[f"{space}_format"] = part["format"]
     else:
         raise ValueError(f"{path}: unknown dataset kind {ds['kind']!r}")
+    settings = {key: convert(raw[key]) for key, convert in _SCALAR_KEYS.items()
+                if key in raw}
+    if "epsilon_grid" in raw:
+        settings["epsilon_grid"] = tuple(float(e) for e in raw["epsilon_grid"])
     grids = raw.get("grids", {})
-    return ExperimentConfig(
-        dataset=dataset,
-        seed=int(raw.get("seed", 7)),
-        repetitions=int(raw.get("repetitions", 10)),
-        train_fraction=float(raw.get("train_fraction", 0.8)),
-        proper_fraction=float(raw.get("proper_fraction", 0.7)),
-        cv_folds=int(raw.get("cv_folds", 5)),
-        grid_svm_x=_grid_from_dict(grids.get("svm_x"), default_svm_grid()),
-        grid_svm_xstar=_grid_from_dict(grids.get("svm_xstar"), default_svm_grid()),
-        grid_svmplus=_grid_from_dict(grids.get("svmplus"), default_svmplus_grid()),
-        epsilon_grid=tuple(
-            float(e) for e in raw.get("epsilon_grid", default_epsilon_grid())
-        ),
-        qp_tol=float(raw.get("qp_tol", 1e-8)),
-    )
+    defaults = {"svm_x": default_svm_grid, "svm_xstar": default_svm_grid,
+                "svmplus": default_svmplus_grid}
+    for key, default in defaults.items():
+        settings[f"grid_{key}"] = _grid_from_dict(grids.get(key), default())
+    return ExperimentConfig(dataset=DatasetConfig(kind=ds["kind"], **fields), **settings)
 
 
 @dataclass
@@ -354,9 +350,31 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
+def fit_model(key, params, X, Xstar, y, tol):
+    """Train the model that ``key`` (one of MODEL_KEYS) names on the
+    training rows (X, X*, y), with ``params`` shaped like that model's
+    ``selected_parameters`` entry."""
+    if key == "svmplus":
+        cfg = SvmPlusConfig(
+            C=params["C"],
+            gamma_plus=params["gamma_plus"],
+            decision_kernel=KernelSpec(gamma=params["gamma1"]),
+            correcting_kernel=KernelSpec(gamma=params["gamma2"]),
+        )
+        return svmplus_train(X, Xstar, y, cfg, tol=tol)
+    cfg = SvmConfig(C=params["C"], kernel=KernelSpec(gamma=params["gamma"]))
+    return svm_train(decision_features(key, X, Xstar), y, cfg, tol=tol)
+
+
+def decision_features(key, X, Xstar):
+    """The feature space the model ``key`` decides on: X* for SVM on X*,
+    X for the others (SVM+ sees X* only in training)."""
+    return Xstar if key == "svm_xstar" else X
+
+
 def _one_repetition(cfg, selected, X_train, Xstar_train, y_train,
                     X_test, Xstar_test, y_test, split_seed, test_idx, train_idx):
-    inner: SplitPlan = stratified_split(y_train, cfg.proper_fraction, seed=split_seed)
+    inner = stratified_split(y_train, cfg.proper_fraction, seed=split_seed)
     proper, cal = inner.first, inner.second
     # the external test set must never leak into training or calibration
     assert np.intersect1d(train_idx[proper], test_idx).size == 0
@@ -364,40 +382,16 @@ def _one_repetition(cfg, selected, X_train, Xstar_train, y_train,
     assert np.intersect1d(proper, cal).size == 0
 
     X_p, Xs_p, y_p = X_train[proper], Xstar_train[proper], y_train[proper]
-    X_c, Xs_c, y_c = X_train[cal], Xstar_train[cal], y_train[cal]
-
-    p_x, p_xstar, p_plus = (selected[key] for key in MODEL_KEYS)
-    svm_x = svm_train(
-        X_p, y_p,
-        SvmConfig(C=p_x["C"], kernel=KernelSpec(gamma=p_x["gamma"])),
-        tol=cfg.qp_tol,
-    )
-    svm_xstar = svm_train(
-        Xs_p, y_p,
-        SvmConfig(C=p_xstar["C"], kernel=KernelSpec(gamma=p_xstar["gamma"])),
-        tol=cfg.qp_tol,
-    )
-    svmplus = svmplus_train(
-        X_p, Xs_p, y_p,
-        SvmPlusConfig(
-            C=p_plus["C"],
-            gamma_plus=p_plus["gamma_plus"],
-            decision_kernel=KernelSpec(gamma=p_plus["gamma1"]),
-            correcting_kernel=KernelSpec(gamma=p_plus["gamma2"]),
-        ),
-        tol=cfg.qp_tol,
-    )
-
+    models = {
+        key: fit_model(key, selected[key], X_p, Xs_p, y_p, cfg.qp_tol)
+        for key in MODEL_KEYS
+    }
     eps_grid = np.asarray(cfg.epsilon_grid)
+    y_c = y_train[cal]
     metrics = {}
-    evaluations = (
-        ("svm_x", svm_x, X_c, X_test),
-        ("svm_xstar", svm_xstar, Xs_c, Xstar_test),
-        ("svmplus", svmplus, X_c, X_test),
-    )
-    for key, model, cal_features, test_features in evaluations:
-        table = calibrate(model, cal_features, y_c)
-        test_values = model.decision_values(test_features)
+    for key, model in models.items():
+        table = calibrate(model, decision_features(key, X_train, Xstar_train)[cal], y_c)
+        test_values = model.decision_values(decision_features(key, X_test, Xstar_test))
         pvalues = pairs_from_decision_values(table, test_values)
         predictions = np.where(test_values >= 0.0, 1, -1)
         metrics[key] = {

@@ -117,21 +117,18 @@ def _block_header(vectors):
 
 def save_model(path, model) -> None:
     """Serialize a :class:`DecisionModel` or :class:`SvmPlusModel`."""
-    if isinstance(model, SvmPlusModel):
-        kind, decision = "svmplus", model.decision
-    elif isinstance(model, DecisionModel):
-        kind, decision = "svm", model
-    else:
+    if not isinstance(model, DecisionModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    plus = isinstance(model, SvmPlusModel)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MODEL_HEADER}\n")
-        fh.write(f"type {kind}\n")
-        fh.write(f"kernel {decision.kernel.family} {repr(decision.kernel.gamma)}\n")
-        fh.write(f"bias {repr(decision.bias)}\n")
-        n, d, layout = _block_header(decision.support_vectors)
+        fh.write(f"type {'svmplus' if plus else 'svm'}\n")
+        fh.write(f"kernel {model.kernel.family} {repr(model.kernel.gamma)}\n")
+        fh.write(f"bias {repr(model.bias)}\n")
+        n, d, layout = _block_header(model.support_vectors)
         fh.write(f"support {n} {d} {layout}\n")
-        _write_rows(fh, decision.weights, decision.support_vectors)
-        if kind == "svmplus":
+        _write_rows(fh, model.weights, model.support_vectors)
+        if plus:
             ck = model.correcting_kernel
             fh.write(f"correcting_kernel {ck.family} {repr(ck.gamma)}\n")
             fh.write(f"gamma_plus {repr(float(model.gamma_plus))}\n")
@@ -172,11 +169,9 @@ def _parse_model(lines):
     bias = float(_expect(lines, "bias")[0])
     n, d, layout = _expect(lines, "support", 3)
     weights, support = _read_rows(lines, int(n), int(d), layout, "support")
-    decision = DecisionModel(
-        support_vectors=support, weights=weights, bias=bias, kernel=kernel,
-    )
+    fields = dict(support_vectors=support, weights=weights, bias=bias, kernel=kernel)
     if kind == "svm":
-        return decision
+        return DecisionModel(**fields)
     family, gamma = _expect(lines, "correcting_kernel", 2)
     correcting_kernel = KernelSpec(gamma=float(gamma), family=family)
     gamma_plus = float(_expect(lines, "gamma_plus")[0])
@@ -184,7 +179,7 @@ def _parse_model(lines):
     n, d, layout = _expect(lines, "correcting", 3)
     deltas, vectors = _read_rows(lines, int(n), int(d), layout, "correcting")
     return SvmPlusModel(
-        decision=decision,
+        **fields,
         deltas=deltas,
         bias_star=bias_star,
         correcting_kernel=correcting_kernel,

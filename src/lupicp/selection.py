@@ -54,8 +54,6 @@ class SplitPlan:
     remainder rounding); ``second`` holds the rest.
     """
 
-    seed: int
-    fraction: float
     first: np.ndarray
     second: np.ndarray
 
@@ -85,14 +83,6 @@ class GridSpec:
         for v in self.gamma_values:
             if not (g_lo <= v <= g_hi):
                 raise ValueError(f"{what}: gamma={v} outside [{g_lo}, {g_hi}]")
-
-    def cells(self):
-        seen = set()
-        for C in self.C_values:
-            for g in self.gamma_values:
-                if (C, g) not in seen:
-                    seen.add((C, g))
-                    yield C, g
 
 
 def default_svm_grid() -> GridSpec:
@@ -166,8 +156,6 @@ def stratified_split(y, fraction: float, seed: int) -> SplitPlan:
         first.append(idx[: take[label]])
         second.append(idx[take[label] :])
     return SplitPlan(
-        seed=seed,
-        fraction=fraction,
         first=np.sort(np.concatenate(first)),
         second=np.sort(np.concatenate(second)),
     )
@@ -220,8 +208,36 @@ def _fold_distance_cache(X, folds):
     return cache
 
 
-def _cell_key(C, gamma):
-    return (float(C), float(gamma))
+def _cross_validate(y, cache, groups, fit, gamma_name):
+    """Mean k-fold validation accuracy of every distinct grid cell.
+
+    ``groups`` yields, one kernel width at a time, the per-fold kernels
+    (each a tuple whose first two entries are the training Gram and the
+    validation-by-training block) and the (C, gamma) cells scored on
+    them.  ``fit(C, gamma, fold, kernels)`` trains on one fold.  A cell
+    whose training fails on any fold is logged and left out.
+    """
+    scores, seen = {}, set()
+    for kernels, cells in groups:
+        for C, gamma in cells:
+            key = (float(C), float(gamma))
+            if key in seen:
+                continue
+            seen.add(key)
+            accs = []
+            try:
+                for f, k in zip(cache, kernels):
+                    model = fit(C, gamma, f, k)
+                    vals = k[1][:, model.support_indices] @ model.weights + model.bias
+                    preds = np.where(vals >= 0.0, 1, -1)
+                    accs.append(np.mean(preds == y[f["validate"]]))
+            except TrainingError as exc:
+                logger.warning(
+                    "grid cell C=%g %s=%g failed: %s", C, gamma_name, gamma, exc
+                )
+                continue
+            scores[key] = float(np.mean(accs))
+    return scores
 
 
 def grid_search_svm(X, y, grid: GridSpec, k: int, seed: int,
@@ -234,36 +250,22 @@ def grid_search_svm(X, y, grid: GridSpec, k: int, seed: int,
     y = np.asarray(y)
     if cache is None:
         cache = _fold_distance_cache(X, kfold_indices(y.shape[0], k, y, seed))
-    scores = {}
-    for gamma in dict.fromkeys(grid.gamma_values):
-        kernels = [
-            (
-                rbf_from_squared_distances(f["d_train"], gamma),
-                rbf_from_squared_distances(f["d_val"], gamma),
-            )
-            for f in cache
-        ]
-        for C in grid.C_values:
-            key = _cell_key(C, gamma)
-            if key in scores:
-                continue
-            accs = []
-            try:
-                for f, (k_tr, k_val) in zip(cache, kernels):
-                    y_tr = y[f["train"]]
-                    model = svm_train(
-                        X[f["train"]], y_tr,
-                        SvmConfig(C=C, kernel=KernelSpec(gamma=gamma)),
-                        tol=tol, gram=k_tr,
-                    )
-                    vals = k_val[:, model.support_indices] @ model.weights + model.bias
-                    preds = np.where(vals >= 0.0, 1, -1)
-                    accs.append(np.mean(preds == y[f["validate"]]))
-            except TrainingError as exc:
-                logger.warning("grid cell C=%g gamma=%g failed: %s", C, gamma, exc)
-                continue
-            scores[key] = float(np.mean(accs))
-    return _pick_best(scores)
+
+    def fit(C, gamma, f, kernels):
+        return svm_train(X[f["train"]], y[f["train"]],
+                         SvmConfig(C=C, kernel=KernelSpec(gamma=gamma)),
+                         tol=tol, gram=kernels[0])
+
+    def widths():
+        for gamma in dict.fromkeys(grid.gamma_values):
+            kernels = [
+                (rbf_from_squared_distances(f["d_train"], gamma),
+                 rbf_from_squared_distances(f["d_val"], gamma))
+                for f in cache
+            ]
+            yield kernels, [(C, gamma) for C in grid.C_values]
+
+    return _pick_best(_cross_validate(y, cache, widths(), fit, "gamma"))
 
 
 def grid_search_svmplus(X, Xstar, y, grid: GridSpec, gamma1: float, gamma2: float,
@@ -280,43 +282,22 @@ def grid_search_svmplus(X, Xstar, y, grid: GridSpec, gamma1: float, gamma2: floa
         folds = kfold_indices(y.shape[0], k, y, seed)
         caches = (_fold_distance_cache(X, folds), _fold_distance_cache(Xstar, folds))
     cache, star_cache = caches
-    decision_kernel = KernelSpec(gamma=gamma1)
-    correcting_kernel = KernelSpec(gamma=gamma2)
+
+    def fit(C, gamma_plus, f, kernels):
+        cfg = SvmPlusConfig(C=C, gamma_plus=gamma_plus,
+                            decision_kernel=KernelSpec(gamma=gamma1),
+                            correcting_kernel=KernelSpec(gamma=gamma2))
+        return svmplus_train(X[f["train"]], Xstar[f["train"]], y[f["train"]], cfg,
+                             tol=tol, gram=kernels[0], gram_star=kernels[2])
+
     kernels = [
-        (
-            rbf_from_squared_distances(f["d_train"], gamma1),
-            rbf_from_squared_distances(f["d_val"], gamma1),
-            rbf_from_squared_distances(s["d_train"], gamma2),
-        )
+        (rbf_from_squared_distances(f["d_train"], gamma1),
+         rbf_from_squared_distances(f["d_val"], gamma1),
+         rbf_from_squared_distances(s["d_train"], gamma2))
         for f, s in zip(cache, star_cache)
     ]
-    scores = {}
-    for C, gamma_plus in grid.cells():
-        key = _cell_key(C, gamma_plus)
-        accs = []
-        try:
-            for f, (k_tr, k_val, k_star) in zip(cache, kernels):
-                cfg = SvmPlusConfig(
-                    C=C,
-                    gamma_plus=gamma_plus,
-                    decision_kernel=decision_kernel,
-                    correcting_kernel=correcting_kernel,
-                )
-                model = svmplus_train(
-                    X[f["train"]], Xstar[f["train"]], y[f["train"]],
-                    cfg, tol=tol, gram=k_tr, gram_star=k_star,
-                )
-                sup = model.decision.support_indices
-                vals = k_val[:, sup] @ model.decision.weights + model.decision.bias
-                preds = np.where(vals >= 0.0, 1, -1)
-                accs.append(np.mean(preds == y[f["validate"]]))
-        except TrainingError as exc:
-            logger.warning(
-                "grid cell C=%g gamma_plus=%g failed: %s", C, gamma_plus, exc
-            )
-            continue
-        scores[key] = float(np.mean(accs))
-    return _pick_best(scores)
+    cells = [(C, g) for C in grid.C_values for g in grid.gamma_values]
+    return _pick_best(_cross_validate(y, cache, [(kernels, cells)], fit, "gamma_plus"))
 
 
 def _pick_best(scores: dict) -> GridSearchResult:

@@ -62,8 +62,8 @@ class SvmPlusConfig:
             )
 
 
-@dataclass
-class SvmPlusModel:
+@dataclass(kw_only=True)
+class SvmPlusModel(DecisionModel):
     """Decision model over X plus the diagnostic correcting function.
 
     ``deltas`` are alpha + beta - C; together with ``bias_star`` they
@@ -71,7 +71,6 @@ class SvmPlusModel:
     retained for KKT auditing.
     """
 
-    decision: DecisionModel
     deltas: np.ndarray
     bias_star: float
     correcting_kernel: KernelSpec
@@ -79,20 +78,6 @@ class SvmPlusModel:
     gamma_plus: float
     alpha: np.ndarray | None = None
     beta: np.ndarray | None = None
-    dual_objective: float | None = None
-    kkt_residual: float | None = None
-
-    def decision_values(self, X) -> np.ndarray:
-        return self.decision.decision_values(X)
-
-    def decision_value(self, x) -> float:
-        return self.decision.decision_value(x)
-
-    def predict_labels(self, X) -> np.ndarray:
-        return self.decision.predict_labels(X)
-
-    def predict_label(self, x) -> int:
-        return self.decision.predict_label(x)
 
     def correcting_values(self, Xstar) -> np.ndarray:
         K = gram_matrix(Xstar, self.correcting_vectors, self.correcting_kernel)
@@ -177,7 +162,7 @@ def svmplus_train(X, Xstar, y, cfg: SvmPlusConfig, tol: float = 1e-8,
 
     weights_full = alpha * y
     keep = np.flatnonzero(alpha > PRUNE_TOL)
-    decision = DecisionModel(
+    return SvmPlusModel(
         support_vectors=X[keep],
         weights=weights_full[keep],
         bias=bias,
@@ -185,9 +170,6 @@ def svmplus_train(X, Xstar, y, cfg: SvmPlusConfig, tol: float = 1e-8,
         support_indices=keep,
         dual_objective=-(sol.objective + constant),
         kkt_residual=sol.kkt_residual,
-    )
-    return SvmPlusModel(
-        decision=decision,
         deltas=deltas,
         bias_star=bias_star,
         correcting_kernel=cfg.correcting_kernel,
@@ -195,8 +177,6 @@ def svmplus_train(X, Xstar, y, cfg: SvmPlusConfig, tol: float = 1e-8,
         gamma_plus=cfg.gamma_plus,
         alpha=alpha,
         beta=beta,
-        dual_objective=-(sol.objective + constant),
-        kkt_residual=sol.kkt_residual,
     )
 
 

@@ -143,12 +143,52 @@ def test_train_svmplus_roundtrip(tmp_path, config_path, capsys):
     assert isinstance(load_model(model_path), SvmPlusModel)
 
 
+@pytest.mark.parametrize("model, flags, key, params", [
+    ("svm-x", ["--gamma", "0.5"], "svm_x", {"C": 1.0, "gamma": 0.5}),
+    ("svm-xstar", ["--gamma", "0.2"], "svm_xstar", {"C": 1.0, "gamma": 0.2}),
+    ("svm-plus", ["--gamma-plus", "0.1", "--gamma1", "0.5", "--gamma2", "0.2"],
+     "svmplus", {"C": 1.0, "gamma_plus": 0.1, "gamma1": 0.5, "gamma2": 0.2}),
+])
+def test_train_writes_what_fit_model_gives(tmp_path, config_path, capsys,
+                                           model, flags, key, params):
+    from lupicp.conformal import calibrate
+    from lupicp.experiment import fit_model, load_config, split_rows
+    from lupicp.model_io import save_calibration, save_model
+
+    out, cal_out = tmp_path / "model.txt", tmp_path / "cal.txt"
+    assert main([
+        "train", "--config", str(config_path), "--model", model, "--cost", "1.0",
+        *flags, "--out", str(out), "--calibration-out", str(cal_out),
+    ]) == 0
+    cfg = load_config(config_path)
+    data = cfg.dataset.load()
+    _, _, proper, cal = split_rows(cfg, data.y)
+    expected = fit_model(key, params, data.X[proper], data.Xstar[proper],
+                         data.y[proper], cfg.qp_tol)
+    save_model(tmp_path / "expected-model.txt", expected)
+    # SVM on X* decides, and so calibrates, on the privileged rows
+    features = data.Xstar if model == "svm-xstar" else data.X
+    save_calibration(tmp_path / "expected-cal.txt",
+                     calibrate(expected, features[cal], data.y[cal]))
+    assert out.read_bytes() == (tmp_path / "expected-model.txt").read_bytes()
+    assert cal_out.read_bytes() == (tmp_path / "expected-cal.txt").read_bytes()
+
+
 def test_train_requires_model_parameters(tmp_path, config_path, capsys):
-    code = main([
-        "train", "--config", str(config_path), "--model", "svm-plus",
-        "--cost", "1.0", "--out", str(tmp_path / "m.txt"),
-    ])
-    assert code == 1
+    for model, flags, missing in [
+        ("svm-plus", [], "--gamma-plus is required for svm-plus"),
+        ("svm-plus", ["--gamma-plus", "0.1", "--gamma1", "0.5"],
+         "--gamma2 is required for svm-plus"),
+        ("svm-x", [], "--gamma is required for svm-x / svm-xstar"),
+        ("svm-xstar", ["--gamma-plus", "0.1"], "--gamma is required for svm-x / svm-xstar"),
+    ]:
+        code = main([
+            "train", "--config", str(config_path), "--model", model,
+            "--cost", "1.0", *flags, "--out", str(tmp_path / "m.txt"),
+        ])
+        assert code == 1
+        assert missing in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
 
 
 def test_predict_rejects_garbage_model(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import logging
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from lupicp.selection import (
     tune_three_step,
 )
 from lupicp.kernels import squared_distances
+from lupicp.svm import TrainingError
 from conftest import triplet_blobs, two_blobs
 
 
@@ -221,3 +226,80 @@ def test_selected_cell_cv_accuracy_stable_across_seeds():
     r1 = grid_search_svm(X, y, grid, k=5, seed=1)
     r2 = grid_search_svm(X, y, grid, k=5, seed=2)
     assert abs(r1.mean_accuracy - r2.mean_accuracy) <= 0.02
+
+
+# the text that perfbench/run.py counts as one failed grid cell
+CELL_FAILED = re.compile(r"grid cell C=\S+ gamma(?:_plus)?=\S+ failed")
+
+
+def _search_svm(X, Xstar, y, grid):
+    return grid_search_svm(X, y, grid, k=3, seed=0)
+
+
+def _search_svmplus(X, Xstar, y, grid):
+    return grid_search_svmplus(X, Xstar, y, grid, gamma1=0.5, gamma2=0.3, k=3, seed=0)
+
+
+@pytest.mark.parametrize("trainer, search, gamma_name", [
+    ("svm_train", _search_svm, "gamma"),
+    ("svmplus_train", _search_svmplus, "gamma_plus"),
+])
+def test_failed_cell_is_logged_and_left_out(monkeypatch, caplog, trainer, search,
+                                            gamma_name):
+    import lupicp.selection as selection
+
+    X, Xstar, y = triplet_blobs(30, seed=12, separation=6.0, star_separation=6.0)
+    grid = GridSpec((0.5, 2.0, 0.5, 8.0), (0.1,))
+    best = search(X, Xstar, y, grid)
+    real = getattr(selection, trainer)
+
+    def failing(*args, **kwargs):
+        cfg = args[3] if trainer == "svmplus_train" else args[2]
+        if cfg.C == best.C:
+            raise TrainingError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selection, trainer, failing)
+    with caplog.at_level(logging.WARNING, logger="lupicp.selection"):
+        result = search(X, Xstar, y, grid)
+    assert result.C != best.C and result.C in grid.C_values
+    failed = [r.getMessage() for r in caplog.records if CELL_FAILED.search(r.getMessage())]
+    # the duplicated failing cell is tried and reported once
+    assert failed == [
+        f"grid cell C={best.C:g} {gamma_name}=0.1 failed: injected failure"
+    ]
+
+
+def test_three_step_fits_each_distinct_cell_once_per_fold(monkeypatch):
+    import lupicp.selection as selection
+
+    X, Xstar, y = triplet_blobs(30, seed=6)
+    k = 3
+    grids = (
+        GridSpec((1.0, 5.0, 1.0), (0.2, 0.8, 0.2)),
+        GridSpec((1.0, 1.0), (0.3, 0.6, 0.6)),
+        GridSpec((0.5, 1.0, 0.5), (0.01, 0.01, 0.1)),
+    )
+    fits = Counter()
+
+    def counting(trainer, cfg_at, gamma_of):
+        def fit(*args, **kwargs):
+            cfg = args[cfg_at]
+            fits[(trainer.__name__, args[0].shape[1], cfg.C, gamma_of(cfg))] += 1
+            return trainer(*args, **kwargs)
+        return fit
+
+    monkeypatch.setattr(selection, "svm_train", counting(
+        selection.svm_train, 2, lambda cfg: cfg.kernel.gamma))
+    monkeypatch.setattr(selection, "svmplus_train", counting(
+        selection.svmplus_train, 3, lambda cfg: cfg.gamma_plus))
+    tune_three_step(X, Xstar, y, *grids, k=k, seed=9)
+    dims = (X.shape[1], Xstar.shape[1], X.shape[1])
+    names = ("svm_train", "svm_train", "svmplus_train")
+    expected = Counter({
+        (name, dim, C, g): k
+        for name, dim, grid in zip(names, dims, grids)
+        for C in grid.C_values for g in grid.gamma_values
+    })
+    assert len(expected) == 4 + 2 + 4
+    assert fits == expected

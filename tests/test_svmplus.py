@@ -85,7 +85,7 @@ def test_decision_matches_dense_loop():
         expected = sum(
             m.alpha[j] * y[j] * np.exp(-np.sum((X[j] - X[i]) ** 2))
             for j in range(6)
-        ) + m.decision.bias
+        ) + m.bias
         assert m.decision_value(X[i]) == pytest.approx(expected, abs=1e-10)
 
 
