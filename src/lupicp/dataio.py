@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,85 +193,123 @@ def load_feature_file(path, format: str = "dense-csv", skip_header: bool = False
 
 
 def _load_dense_csv(path, skip_header: bool) -> np.ndarray:
+    try:
+        with warnings.catch_warnings():
+            # an empty result is left to the line reader, which names it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            X = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                           skiprows=int(skip_header), encoding="ascii")
+        if X.shape[0]:
+            return X
+    except ValueError:  # UnicodeDecodeError too
+        pass
+    # numpy rejects some input the line reader accepts (blank or
+    # whitespace-only lines, digits grouped by "_"), and its errors name
+    # no line; the line reader gives the same array or the located error
+    return _read_dense_csv_lines(path, skip_header)
+
+
+def _read_dense_csv_lines(path, skip_header: bool) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if skip_header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise DataFormatError(
-                    f"ragged row: {len(fields)} fields, expected {width}",
-                    path=path, line=lineno,
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"non-numeric field: {exc}", path=path, line=lineno
-                ) from exc
+    for lineno, line in _numbered_lines(path):
+        if skip_header and lineno == 1:
+            continue
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise DataFormatError(
+                f"ragged row: {len(fields)} fields, expected {width}",
+                path=path, line=lineno,
+            )
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError as exc:
+            raise DataFormatError(
+                f"non-numeric field: {exc}", path=path, line=lineno
+            ) from exc
     if not rows:
         raise DataFormatError("no data rows", path=path)
     return np.asarray(rows)
 
 
+def _numbered_lines(path):
+    """(1-based number, text) of each line of an ASCII file.
+
+    Lines end at LF, CRLF or CR, as in text mode.  The file is read in
+    binary and decoded a line at a time, so a non-ASCII byte is reported
+    on its own line rather than where a text-mode decoder meets it.
+    """
+    with open(path, "rb") as fh:
+        lineno = 0
+        for chunk in fh:
+            for raw in chunk.splitlines():
+                lineno += 1
+                try:
+                    text = raw.decode("ascii")
+                except UnicodeDecodeError as exc:
+                    raise DataFormatError(
+                        f"non-ASCII byte 0x{raw[exc.start]:02x} at column {exc.start + 1}",
+                        path=path, line=lineno,
+                    ) from None
+                yield lineno, text
+
+
 def _load_sparse(path) -> sp.csr_matrix:
     data, indices, indptr = [], [], [0]
     dim = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if lineno == 1:
-                parts = line.split()
-                if len(parts) != 2 or parts[0] != "#dim":
-                    raise DataFormatError(
-                        "first line must be '#dim N'", path=path, line=lineno
-                    )
-                try:
-                    dim = int(parts[1])
-                except ValueError as exc:
-                    raise DataFormatError(
-                        f"bad dimension: {exc}", path=path, line=lineno
-                    ) from exc
-                if dim <= 0:
-                    raise DataFormatError(
-                        "dimension must be positive", path=path, line=lineno
-                    )
-                continue
-            previous = -1
-            for token in line.split():
-                head, sep, tail = token.partition(":")
-                if not sep:
-                    raise DataFormatError(
-                        f"expected index:value, got {token!r}", path=path, line=lineno
-                    )
-                try:
-                    index, value = int(head), float(tail)
-                except ValueError as exc:
-                    raise DataFormatError(
-                        f"bad index:value pair {token!r}: {exc}",
-                        path=path, line=lineno,
-                    ) from exc
-                if index < 0 or index >= dim:
-                    raise DataFormatError(
-                        f"index {index} outside [0, {dim})", path=path, line=lineno
-                    )
-                if index <= previous:
-                    raise DataFormatError(
-                        f"indices must be strictly increasing, got {index} "
-                        f"after {previous}",
-                        path=path, line=lineno,
-                    )
-                previous = index
-                indices.append(index)
-                data.append(value)
-            indptr.append(len(data))
+    for lineno, line in _numbered_lines(path):
+        line = line.strip()
+        if lineno == 1:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] != "#dim":
+                raise DataFormatError(
+                    "first line must be '#dim N'", path=path, line=lineno
+                )
+            try:
+                dim = int(parts[1])
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"bad dimension: {exc}", path=path, line=lineno
+                ) from exc
+            if dim <= 0:
+                raise DataFormatError(
+                    "dimension must be positive", path=path, line=lineno
+                )
+            continue
+        previous = -1
+        for token in line.split():
+            head, sep, tail = token.partition(":")
+            if not sep:
+                raise DataFormatError(
+                    f"expected index:value, got {token!r}", path=path, line=lineno
+                )
+            try:
+                index, value = int(head), float(tail)
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"bad index:value pair {token!r}: {exc}",
+                    path=path, line=lineno,
+                ) from exc
+            if index < 0 or index >= dim:
+                raise DataFormatError(
+                    f"index {index} outside [0, {dim})", path=path, line=lineno
+                )
+            if index <= previous:
+                raise DataFormatError(
+                    f"indices must be strictly increasing, got {index} "
+                    f"after {previous}",
+                    path=path, line=lineno,
+                )
+            previous = index
+            indices.append(index)
+            data.append(value)
+        indptr.append(len(data))
     if dim is None:
         raise DataFormatError("empty file", path=path)
     n_rows = len(indptr) - 1
@@ -307,23 +346,22 @@ def write_feature_file(path, X, format: str = "dense-csv") -> None:
 def load_labels(path) -> np.ndarray:
     """Labels, one integer per line; {0, 1} files are mapped 0 -> -1."""
     values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"bad label {line!r}: {exc}", path=path, line=lineno
-                ) from exc
-            if value not in (-1, 0, 1):
-                raise DataFormatError(
-                    f"label must be one of -1, 0, 1; got {value}",
-                    path=path, line=lineno,
-                )
-            values.append(value)
+    for lineno, line in _numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = int(line)
+        except ValueError as exc:
+            raise DataFormatError(
+                f"bad label {line!r}: {exc}", path=path, line=lineno
+            ) from exc
+        if value not in (-1, 0, 1):
+            raise DataFormatError(
+                f"label must be one of -1, 0, 1; got {value}",
+                path=path, line=lineno,
+            )
+        values.append(value)
     if not values:
         raise DataFormatError("no labels", path=path)
     y = np.asarray(values)

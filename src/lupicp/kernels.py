@@ -70,7 +70,10 @@ def squared_distances(A, B) -> np.ndarray:
     if sp.issparse(cross):
         cross = cross.toarray()
     cross = np.asarray(cross, dtype=float)
-    d = na[:, None] + nb[None, :] - 2.0 * cross
+    # in place, the same values as na + nb - 2 * cross with two arrays alive
+    d = na[:, None] + nb[None, :]
+    cross *= 2.0
+    d -= cross
     np.maximum(d, 0.0, out=d)
     if same:
         d = 0.5 * (d + d.T)
@@ -80,7 +83,8 @@ def squared_distances(A, B) -> np.ndarray:
 
 def rbf_from_squared_distances(d: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * d) for a precomputed squared-distance array."""
-    return np.exp(-gamma * d)
+    K = -gamma * d
+    return np.exp(K, out=K)
 
 
 def gram_matrix(rows_a, rows_b, spec: KernelSpec) -> np.ndarray:

@@ -6,7 +6,8 @@ block of one row per support vector (leading coefficient, then the
 feature values, dense or as index:value pairs).  SVM+ models append the
 correcting block: its kernel, gamma_plus, bias_star, and one row per
 training example carrying the delta coefficient and the privileged
-features.  Floats are written with repr() and so round-trip exactly.
+features.  Floats are written with repr() and so round-trip exactly; a
+value that reads as nan or infinite is a format error.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ class _Lines:
         return ModelFormatError(f"{self.path}:{self.number}: {message}")
 
 
+def _finite(lines, text: str) -> float:
+    """``text`` as a float, which must be finite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise lines.error(f"non-finite value {text!r}")
+    return value
+
+
 def _parse(path, parser):
     """Run ``parser`` over the file's lines; a value that does not parse
     (a non-numeric field, an invalid kernel) names its line too."""
@@ -88,19 +97,24 @@ def _read_rows(lines, count, dim, layout, what):
         fields = lines.next(f"{what} row").split()
         if not fields:
             raise lines.error(f"blank {what} row")
-        coefficients[i] = float(fields[0])
+        coefficients[i] = _finite(lines, fields[0])
         if layout == "dense":
             if len(fields) - 1 != dim:
                 raise lines.error(
                     f"{what} row {i}: expected {dim} values, got {len(fields) - 1}"
                 )
-            vectors[i] = [float(v) for v in fields[1:]]
+            row = [float(v) for v in fields[1:]]
+            vectors[i] = row
         else:
+            row = []
             for token in fields[1:]:
                 j, _, v = token.partition(":")
                 indices.append(int(j))
-                data.append(float(v))
+                row.append(float(v))
+            data.extend(row)
             indptr.append(len(data))
+        if not np.all(np.isfinite(row)):
+            raise lines.error(f"non-finite value in {what} row {i}")
     if layout != "dense":
         vectors = sp.csr_matrix(
             (np.asarray(data), np.asarray(indices, dtype=np.int64),
@@ -166,7 +180,7 @@ def _parse_model(lines):
         raise lines.error(f"unknown model type {kind!r}")
     family, gamma = _expect(lines, "kernel", 2)
     kernel = KernelSpec(gamma=float(gamma), family=family)
-    bias = float(_expect(lines, "bias")[0])
+    bias = _finite(lines, _expect(lines, "bias")[0])
     n, d, layout = _expect(lines, "support", 3)
     weights, support = _read_rows(lines, int(n), int(d), layout, "support")
     fields = dict(support_vectors=support, weights=weights, bias=bias, kernel=kernel)
@@ -174,8 +188,8 @@ def _parse_model(lines):
         return DecisionModel(**fields)
     family, gamma = _expect(lines, "correcting_kernel", 2)
     correcting_kernel = KernelSpec(gamma=float(gamma), family=family)
-    gamma_plus = float(_expect(lines, "gamma_plus")[0])
-    bias_star = float(_expect(lines, "bias_star")[0])
+    gamma_plus = _finite(lines, _expect(lines, "gamma_plus")[0])
+    bias_star = _finite(lines, _expect(lines, "bias_star")[0])
     n, d, layout = _expect(lines, "correcting", 3)
     deltas, vectors = _read_rows(lines, int(n), int(d), layout, "correcting")
     return SvmPlusModel(
@@ -211,6 +225,6 @@ def _parse_calibration(lines) -> CalibrationTable:
         if label != expected or count < 0:
             raise lines.error(f"expected class {expected} and a count, got {label} {count}")
         scores[label] = np.array(
-            [float(lines.next("calibration score")) for _ in range(count)]
+            [_finite(lines, lines.next("calibration score")) for _ in range(count)]
         )
     return CalibrationTable(scores_by_class=scores)

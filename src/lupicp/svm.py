@@ -31,6 +31,8 @@ logger = logging.getLogger(__name__)
 PRUNE_TOL = 1e-9
 FREE_TOL = 1e-6
 ACCEPT_RESIDUAL = 1e-6
+# kernel entries per block of rows that decision_values scores at once
+BLOCK_ENTRIES = 2**21
 
 
 class TrainingError(Exception):
@@ -70,10 +72,21 @@ class DecisionModel:
         return self.weights.shape[0]
 
     def decision_values(self, X) -> np.ndarray:
+        """f at each row of X (dense or CSR), scored in blocks of rows whose
+        kernel block holds at most BLOCK_ENTRIES entries (or one row), so
+        memory beyond X and the result does not grow with the row count."""
+        n = X.shape[0]
         if self.n_support == 0:
-            return np.full(X.shape[0], self.bias)
-        K = gram_matrix(X, self.support_vectors, self.kernel)
-        return K @ self.weights + self.bias
+            return np.full(n, self.bias)
+        values = np.empty(n)
+        step = max(1, BLOCK_ENTRIES // self.n_support)
+        for start in range(0, n, step):
+            rows = X[start:start + step]
+            values[start:start + step] = (
+                gram_matrix(rows, self.support_vectors, self.kernel) @ self.weights
+                + self.bias
+            )
+        return values
 
     def decision_value(self, x) -> float:
         return float(self.decision_values(_as_row(x, self.support_vectors))[0])

@@ -4,7 +4,8 @@ These deliberately avoid the library's solver machinery: the QP oracle
 is a feasible-set grid search with elimination of the equality
 constraints, and the SVM+ oracle is a long-running projected-gradient
 descent whose projection is computed by exact active-set enumeration.
-Both use nothing beyond numpy primitives.
+Both use nothing beyond numpy primitives.  The dense-CSV oracle is the
+plain text-mode line loop that the numpy parser must agree with.
 """
 
 from __future__ import annotations
@@ -294,3 +295,39 @@ def rbf_gram_loops(X, gamma):
             diff = X[i] - X[j]
             K[i, j] = np.exp(-gamma * np.dot(diff, diff))
     return K
+
+
+def load_dense_csv_lines(path, skip_header=False):
+    """Dense CSV read line by line in text mode, one float() per field.
+
+    The reference for ``load_feature_file(path, "dense-csv")``: the same
+    array, or a ``DataFormatError`` with the same message.
+    """
+    from lupicp.dataio import DataFormatError
+
+    rows = []
+    width = None
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if skip_header and lineno == 1:
+                continue
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise DataFormatError(
+                    f"ragged row: {len(fields)} fields, expected {width}",
+                    path=path, line=lineno,
+                )
+            try:
+                rows.append([float(f) for f in fields])
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"non-numeric field: {exc}", path=path, line=lineno
+                ) from exc
+    if not rows:
+        raise DataFormatError("no data rows", path=path)
+    return np.asarray(rows)

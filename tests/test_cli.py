@@ -2,11 +2,17 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lupicp.cli import main
-from lupicp.dataio import write_feature_file, write_idx_images, write_idx_labels
+from lupicp.dataio import (
+    load_feature_file,
+    write_feature_file,
+    write_idx_images,
+    write_idx_labels,
+)
 from conftest import triplet_blobs, write_experiment_config
 
 
@@ -286,6 +292,61 @@ def test_predict_exits_cleanly_on_damaged_files(svmplus_files, which, truncate, 
         "--out", str(files["input"].with_name("pred.tsv")),
     ])
     assert code in (0, 2)
+
+
+# file -> (1-based line to damage, field to set, its new text)
+NON_FINITE = {
+    "inf in a support row": ("model", 6, 1, "inf"),
+    "nan calibration score": ("calibration", 3, 0, "nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_predict_rejects_non_finite_values(svmplus_files, capsys, case):
+    which, line, field, text = NON_FINITE[case]
+    lines = svmplus_files[which].read_text().splitlines()
+    fields = lines[line - 1].split(" ")
+    fields[field] = text
+    lines[line - 1] = " ".join(fields)
+    files = dict(svmplus_files)
+    files[which] = svmplus_files[which].with_name(f"non-finite-{which}.txt")
+    files[which].write_text("\n".join(lines) + "\n")
+    out = files["input"].with_name("non-finite-pred.tsv")
+    capsys.readouterr()
+    code = main([
+        "predict", "--model", str(files["model"]),
+        "--calibration", str(files["calibration"]), "--input", str(files["input"]),
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert f"{files[which]}:{line}: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _put_non_ascii(path, line):
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:3] + b"\xe9" + lines[line - 1][3:]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("kind", ["dense-csv", "sparse-index-value", "labels"])
+def test_non_ascii_byte_is_a_data_error(tmp_path, triplet_files, config_path,
+                                        svmplus_files, capsys, kind):
+    if kind == "labels":
+        target = triplet_files["labels"]
+        argv = ["train", "--config", str(config_path), "--model", "svm-x",
+                "--cost", "1.0", "--gamma", "0.5", "--out", str(tmp_path / "m.txt")]
+    else:
+        target = tmp_path / "rows.txt"
+        X = load_feature_file(svmplus_files["input"])
+        write_feature_file(target, X if kind == "dense-csv" else sp.csr_matrix(X), kind)
+        argv = ["predict", "--model", str(svmplus_files["model"]),
+                "--calibration", str(svmplus_files["calibration"]),
+                "--input", str(target), "--format", kind]
+    _put_non_ascii(target, 25)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{target}:25: non-ASCII byte 0xe9" in capsys.readouterr().err
 
 
 def test_mnist_prepare(tmp_path, capsys):

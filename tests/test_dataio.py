@@ -1,8 +1,11 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lupicp.dataio import (
     DataFormatError,
@@ -18,6 +21,7 @@ from lupicp.dataio import (
     write_idx_labels,
     write_labels,
 )
+from oracles import load_dense_csv_lines
 
 
 def synthetic_mnist(tmp_path, digits, n_per=6, seed=0):
@@ -118,6 +122,80 @@ def test_dense_csv_errors_carry_line_numbers(tmp_path):
     path.write_text("1.0,2.0\n3.0,zap\n")
     with pytest.raises(DataFormatError, match="m.csv:2"):
         load_feature_file(path, "dense-csv")
+
+
+def _outcome(load, *args, **kwargs):
+    """What ``load`` returns, or the message of its DataFormatError."""
+    try:
+        return load(*args, **kwargs)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def _assert_parses_like_line_loop(path, skip_header):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(load_feature_file, path, "dense-csv", skip_header=skip_header)
+    assert [str(w.message) for w in caught] == []
+    expected = _outcome(load_dense_csv_lines, path, skip_header)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+
+
+CSV_ALPHABET = "0123456789+-.eE,_\"#; \t\r\nnaifty"
+CSV_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1_0", "-Infinity", "NaN", ".5", "5.", " 2 ", "\t3"]),
+    st.text(CSV_ALPHABET, max_size=5),
+)
+CSV_ROWS = st.integers(1, 3).flatmap(
+    lambda width: st.lists(
+        st.one_of(
+            st.lists(CSV_FIELD, min_size=width, max_size=width).map(",".join),
+            st.sampled_from(["", " ", "\t \t", "1,2", "a,b"]),
+        ),
+        max_size=6,
+    )
+)
+CSV_TEXT = st.one_of(
+    st.text(CSV_ALPHABET, max_size=40),
+    st.tuples(CSV_ROWS, st.sampled_from(["\n", "\r\n", "\r"]), st.booleans()).map(
+        lambda t: t[1].join(t[0]) + (t[1] if t[2] else "")
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=CSV_TEXT, skip_header=st.booleans())
+def test_dense_csv_parses_like_the_line_loop(tmp_path_factory, text, skip_header):
+    path = tmp_path_factory.getbasetemp() / "parse-equivalence.csv"
+    path.write_bytes(text.encode("ascii"))
+    _assert_parses_like_line_loop(path, skip_header)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n\n", "\r\n \r\n", "1,2\n  \t \n3,4\n", "   \n", "1_0,2\n\n3,4\n",
+    "a,b\n", "a,b\n\n", "1,2\n3\n",
+])
+@pytest.mark.parametrize("skip_header", [False, True])
+def test_dense_csv_edge_cases_parse_like_the_line_loop(tmp_path, text, skip_header):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("ascii"))
+    _assert_parses_like_line_loop(path, skip_header)
+
+
+def test_non_ascii_byte_names_its_line(tmp_path):
+    # far past the first 8 KB, where a text-mode decoder reads ahead
+    lines = [b"0.125,0.25"] * 1500
+    lines[1199] = b"0.125,0.2\xe9"
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DataFormatError, match=r"m\.csv:1200: non-ASCII byte 0xe9"):
+        load_feature_file(path)
 
 
 def test_sparse_expansion(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -116,3 +118,67 @@ def test_sparse_index_overflow_rejected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def _damage_field(line, position, text):
+    fields = line.split(" ")
+    fields[position] = text
+    return " ".join(fields)
+
+
+def _damage_sparse_value(line, text):
+    coefficient, first, *rest = line.split(" ")
+    index, _, _ = first.partition(":")
+    return " ".join([coefficient, f"{index}:{text}", *rest])
+
+
+# field -> (keyword of the damaged line, or of the block whose first row
+# is damaged; the damage)
+NON_FINITE = {
+    "kernel gamma": ("kernel", lambda line: _damage_field(line, 2, "inf")),
+    "bias": ("bias", lambda line: _damage_field(line, 1, "nan")),
+    "support coefficient": ("support", lambda line: _damage_field(line, 0, "-inf")),
+    "support value": ("support", lambda line: _damage_field(line, 2, "inf")),
+    "correcting kernel gamma": (
+        "correcting_kernel", lambda line: _damage_field(line, 2, "nan")),
+    "gamma_plus": ("gamma_plus", lambda line: _damage_field(line, 1, "inf")),
+    "bias_star": ("bias_star", lambda line: _damage_field(line, 1, "-inf")),
+    "correcting coefficient": ("correcting", lambda line: _damage_field(line, 0, "nan")),
+    "correcting sparse value": ("correcting", lambda line: _damage_sparse_value(line, "inf")),
+}
+
+
+@pytest.fixture(scope="module")
+def svmplus_model_lines(tmp_path_factory):
+    """The lines of an SVM+ model file with dense support and sparse
+    correcting rows."""
+    X, Xstar, y = triplet_blobs(14, seed=1, dim=3, star_dim=5)
+    model = svmplus_train(
+        X, sp.csr_matrix(Xstar), y,
+        SvmPlusConfig(1.0, 0.5, KernelSpec(0.5), KernelSpec(0.25)),
+    )
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    save_model(path, model)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("field", sorted(NON_FINITE))
+def test_non_finite_model_value_rejected(tmp_path, svmplus_model_lines, field):
+    keyword, damage = NON_FINITE[field]
+    lines = list(svmplus_model_lines)
+    at = next(i for i, line in enumerate(lines) if line.split(" ")[0] == keyword)
+    if keyword in ("support", "correcting"):
+        at += 1  # the block's first row
+    lines[at] = damage(lines[at])
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match=f"{re.escape(str(path))}:{at + 1}:"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_non_finite_calibration_score_rejected(tmp_path, score):
+    path = tmp_path / "cal.txt"
+    path.write_text(f"lupicp-calibration v1\nclass -1 2\n0.5\n{score}\nclass +1 0\n")
+    with pytest.raises(ModelFormatError, match=f"{re.escape(str(path))}:4:"):
+        load_calibration(path)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lupicp.kernels import KernelSpec, gram_matrix
-from lupicp.svm import DecisionModel, SvmConfig, svm_train
+from lupicp.svm import BLOCK_ENTRIES, DecisionModel, SvmConfig, svm_train
 from conftest import two_blobs
 from oracles import qp_reference_solution
 
@@ -155,3 +158,49 @@ def test_config_validation():
         SvmConfig(C=0.0, kernel=KernelSpec(1.0))
     with pytest.raises(ValueError):
         SvmConfig(C=-2.0, kernel=KernelSpec(1.0))
+
+
+def _random_model(n_support, dim, seed, sparse=False):
+    rng = np.random.default_rng(seed)
+    if sparse:
+        vectors = sp.random(n_support, dim, density=0.3, random_state=seed, format="csr")
+    else:
+        vectors = rng.standard_normal((n_support, dim))
+    return DecisionModel(
+        support_vectors=vectors,
+        weights=rng.standard_normal(n_support),
+        bias=0.375,
+        kernel=KernelSpec(0.2),
+    )
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_decision_values_across_block_boundaries(sparse):
+    model = _random_model(700, 6, seed=8, sparse=sparse)
+    step = BLOCK_ENTRIES // model.n_support
+    rng = np.random.default_rng(9)
+    if sparse:
+        X_all = sp.random(step + 1, 6, density=0.3, random_state=10, format="csr")
+    else:
+        X_all = rng.standard_normal((step + 1, 6))
+    for n in (0, 1, step - 1, step, step + 1):
+        X = X_all[:n]
+        got = model.decision_values(X)
+        assert got.shape == (n,)
+        # unblocked reference; BLAS may sum a row's terms in another order
+        # depending on where the row falls in its block
+        expected = gram_matrix(X, model.support_vectors, model.kernel) @ model.weights
+        np.testing.assert_allclose(got, expected + model.bias, rtol=1e-13, atol=1e-13)
+
+
+def test_decision_values_memory_does_not_grow_with_rows():
+    model = _random_model(200, 8, seed=12)
+    X = np.random.default_rng(13).standard_normal((60_000, 8))
+    full_block = X.shape[0] * model.n_support * 8  # bytes of one unblocked kernel
+    tracemalloc.start()
+    try:
+        model.decision_values(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_block / 2
