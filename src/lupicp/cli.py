@@ -15,7 +15,7 @@ from pathlib import Path
 from .conformal import pairs_from_decision_values, predict_region
 from .dataio import MNIST_LIMIT, DataFormatError, load_feature_file, write_feature_file, write_labels
 from .experiment import ExperimentError, decision_features, fit_model, load_config, run_experiment, split_rows, tune_for_config
-from .model_io import ModelFormatError, load_calibration, load_model, save_calibration, save_model
+from .model_io import load_calibration, load_model, save_calibration, save_model
 from .qp import QpError
 from .selection import SearchError
 from .svm import TrainingError
@@ -26,7 +26,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-DATA_ERRORS = (DataFormatError, ModelFormatError, FileNotFoundError, IsADirectoryError)
+DATA_ERRORS = (DataFormatError, FileNotFoundError, IsADirectoryError)
 NUMERICAL_ERRORS = (QpError, TrainingError, SearchError, ExperimentError)
 
 

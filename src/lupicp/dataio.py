@@ -260,6 +260,60 @@ def _numbered_lines(path):
                 yield lineno, text
 
 
+class _LineCursor:
+    """:func:`_numbered_lines` one at a time, for record formats; errors name
+    the line last read, or at the end of the file the line after it."""
+
+    def __init__(self, path):
+        self.path = path
+        self.line = 0
+        self._lines = _numbered_lines(path)
+
+    def next(self, what: str) -> str:
+        for self.line, text in self._lines:
+            return text
+        self.line += 1
+        raise self.error(f"file ends where the {what} should be")
+
+    def error(self, message: str) -> DataFormatError:
+        return DataFormatError(message, path=self.path, line=self.line)
+
+    def close(self) -> None:
+        self._lines.close()
+
+
+def _parse_pairs(tokens, dim, indices, data, path, lineno) -> None:
+    """Append the ``index:value`` tokens of one sparse row to ``indices``
+    and ``data``; indices must be strictly increasing and in [0, dim)."""
+    previous = -1
+    for token in tokens:
+        head, sep, tail = token.partition(":")
+        if not sep:
+            raise DataFormatError(
+                f"expected index:value, got {token!r}", path=path, line=lineno
+            )
+        try:
+            index, value = int(head), float(tail)
+        except ValueError as exc:
+            raise DataFormatError(
+                f"bad index:value pair {token!r}: {exc}",
+                path=path, line=lineno,
+            ) from exc
+        if index < 0 or index >= dim:
+            raise DataFormatError(
+                f"index {index} outside [0, {dim})", path=path, line=lineno
+            )
+        if index <= previous:
+            raise DataFormatError(
+                f"indices must be strictly increasing, got {index} "
+                f"after {previous}",
+                path=path, line=lineno,
+            )
+        previous = index
+        indices.append(index)
+        data.append(value)
+
+
 def _load_sparse(path) -> sp.csr_matrix:
     data, indices, indptr = [], [], [0]
     dim = None
@@ -282,33 +336,7 @@ def _load_sparse(path) -> sp.csr_matrix:
                     "dimension must be positive", path=path, line=lineno
                 )
             continue
-        previous = -1
-        for token in line.split():
-            head, sep, tail = token.partition(":")
-            if not sep:
-                raise DataFormatError(
-                    f"expected index:value, got {token!r}", path=path, line=lineno
-                )
-            try:
-                index, value = int(head), float(tail)
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"bad index:value pair {token!r}: {exc}",
-                    path=path, line=lineno,
-                ) from exc
-            if index < 0 or index >= dim:
-                raise DataFormatError(
-                    f"index {index} outside [0, {dim})", path=path, line=lineno
-                )
-            if index <= previous:
-                raise DataFormatError(
-                    f"indices must be strictly increasing, got {index} "
-                    f"after {previous}",
-                    path=path, line=lineno,
-                )
-            previous = index
-            indices.append(index)
-            data.append(value)
+        _parse_pairs(line.split(), dim, indices, data, path, lineno)
         indptr.append(len(data))
     if dim is None:
         raise DataFormatError("empty file", path=path)
@@ -317,6 +345,12 @@ def _load_sparse(path) -> sp.csr_matrix:
         (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr)),
         shape=(n_rows, dim),
     )
+
+
+def _format_pairs(X, i) -> str:
+    """Row ``i`` of CSR matrix ``X`` as space-separated ``index:value`` pairs."""
+    row = slice(X.indptr[i], X.indptr[i + 1])
+    return " ".join(f"{int(j)}:{float(v)!r}" for j, v in zip(X.indices[row], X.data[row]))
 
 
 def write_feature_file(path, X, format: str = "dense-csv") -> None:
@@ -332,12 +366,7 @@ def write_feature_file(path, X, format: str = "dense-csv") -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"#dim {X.shape[1]}\n")
             for i in range(X.shape[0]):
-                start, stop = X.indptr[i], X.indptr[i + 1]
-                pairs = (
-                    f"{int(j)}:{repr(float(v))}"
-                    for j, v in zip(X.indices[start:stop], X.data[start:stop])
-                )
-                fh.write(" ".join(pairs))
+                fh.write(_format_pairs(X, i))
                 fh.write("\n")
     else:
         raise ValueError(f"unknown feature format {format!r}")

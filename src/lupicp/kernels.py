@@ -30,11 +30,8 @@ class KernelSpec:
     """
 
     gamma: float
-    family: str = "rbf"
 
     def __post_init__(self):
-        if self.family != "rbf":
-            raise ValueError(f"unsupported kernel family: {self.family!r}")
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"kernel gamma must be a positive real, got {self.gamma!r}")
 

@@ -8,6 +8,10 @@ correcting block: its kernel, gamma_plus, bias_star, and one row per
 training example carrying the delta coefficient and the privileged
 features.  Floats are written with repr() and so round-trip exactly; a
 value that reads as nan or infinite is a format error.
+
+This module owns only that record layout: lines and index:value rows go
+through :mod:`lupicp.dataio`, under the rules of sparse feature files,
+and every format error is a ``DataFormatError`` naming path:line.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .conformal import CalibrationTable
+from .dataio import _format_pairs, _LineCursor, _parse_pairs
 from .kernels import KernelSpec
 from .svm import DecisionModel
 from .svmplus import SvmPlusModel
@@ -31,29 +36,6 @@ MODEL_HEADER = "lupicp-model v1"
 CALIBRATION_HEADER = "lupicp-calibration v1"
 
 
-class ModelFormatError(Exception):
-    """Malformed model or calibration file; the message names path:line."""
-
-
-class _Lines:
-    """The lines of an open file, counted so that errors name path:line."""
-
-    def __init__(self, path, fh):
-        self.path = path
-        self.number = 0
-        self._fh = fh
-
-    def next(self, what: str) -> str:
-        self.number += 1
-        line = self._fh.readline()
-        if not line:
-            raise self.error(f"file ends where the {what} should be")
-        return line.rstrip("\n")
-
-    def error(self, message: str) -> ModelFormatError:
-        return ModelFormatError(f"{self.path}:{self.number}: {message}")
-
-
 def _finite(lines, text: str) -> float:
     """``text`` as a float, which must be finite."""
     value = float(text)
@@ -62,71 +44,72 @@ def _finite(lines, text: str) -> float:
     return value
 
 
-def _parse(path, parser):
-    """Run ``parser`` over the file's lines; a value that does not parse
-    (a non-numeric field, an invalid kernel) names its line too."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = _Lines(path, fh)
-        try:
-            return parser(lines)
-        except (ValueError, OverflowError) as exc:  # ValueError covers UnicodeDecodeError
-            raise lines.error(str(exc)) from None
+def _parse(path, header, parser):
+    """Check the ``header`` line, then run ``parser`` over the lines after
+    it; a value that does not parse (a non-numeric field, an invalid
+    kernel) names its line too."""
+    lines = _LineCursor(path)
+    try:
+        line = lines.next("header")
+        if line != header:
+            raise lines.error(f"bad header {line!r}")
+        return parser(lines)
+    except (ValueError, OverflowError) as exc:
+        raise lines.error(str(exc)) from None
+    finally:
+        lines.close()
 
 
-def _write_rows(fh, coefficients, vectors):
-    dense = not sp.issparse(vectors)
+def _write_block(fh, keyword, coefficients, vectors):
+    sparse = sp.issparse(vectors)
+    if sparse:
+        vectors = sp.csr_matrix(vectors)  # rows of a CSC or COO matrix too
+    n, d = vectors.shape
+    fh.write(f"{keyword} {n} {d} {'sparse' if sparse else 'dense'}\n")
     for i, coef in enumerate(coefficients):
-        if dense:
-            values = " ".join(repr(float(v)) for v in np.asarray(vectors[i]).ravel())
+        if sparse:
+            values = _format_pairs(vectors, i)
         else:
-            start, stop = vectors.indptr[i], vectors.indptr[i + 1]
-            values = " ".join(
-                f"{int(j)}:{repr(float(v))}"
-                for j, v in zip(vectors.indices[start:stop], vectors.data[start:stop])
-            )
+            values = " ".join(repr(float(v)) for v in np.asarray(vectors[i]).ravel())
         fh.write(f"{repr(float(coef))} {values}\n".rstrip(" \n") + "\n")
 
 
-def _read_rows(lines, count, dim, layout, what):
-    coefficients = np.empty(count)
-    if layout == "dense":
-        vectors = np.empty((count, dim))
-    else:
-        data, indices, indptr = [], [], [0]
+def _read_block(lines, keyword):
+    """The coefficients and vectors of the block that starts at the
+    ``keyword n d layout`` line."""
+    count, dim, layout = _expect(lines, keyword, 3)
+    count, dim = int(count), int(dim)
+    if count < 0 or dim < 1 or layout not in ("dense", "sparse"):
+        raise lines.error(f"expected {keyword!r} n >= 0, d >= 1 and a layout "
+                          f"dense or sparse, got {count} {dim} {layout!r}")
+    coefficients, data, indices, indptr = [], [], [], [0]
     for i in range(count):
-        fields = lines.next(f"{what} row").split()
+        fields = lines.next(f"{keyword} row").split()
         if not fields:
-            raise lines.error(f"blank {what} row")
-        coefficients[i] = _finite(lines, fields[0])
+            raise lines.error(f"blank {keyword} row")
+        coefficients.append(_finite(lines, fields[0]))
         if layout == "dense":
             if len(fields) - 1 != dim:
                 raise lines.error(
-                    f"{what} row {i}: expected {dim} values, got {len(fields) - 1}"
+                    f"{keyword} row {i}: expected {dim} values, got {len(fields) - 1}"
                 )
-            row = [float(v) for v in fields[1:]]
-            vectors[i] = row
+            values = [float(v) for v in fields[1:]]
+            data.extend(values)
         else:
-            row = []
-            for token in fields[1:]:
-                j, _, v = token.partition(":")
-                indices.append(int(j))
-                row.append(float(v))
-            data.extend(row)
+            _parse_pairs(fields[1:], dim, indices, data, lines.path, lines.line)
+            values = data[indptr[-1]:]
             indptr.append(len(data))
-        if not np.all(np.isfinite(row)):
-            raise lines.error(f"non-finite value in {what} row {i}")
-    if layout != "dense":
+        if not np.all(np.isfinite(values)):
+            raise lines.error(f"non-finite value in {keyword} row {i}")
+    if layout == "dense":
+        vectors = np.array(data, dtype=float).reshape(count, dim)
+    else:
         vectors = sp.csr_matrix(
             (np.asarray(data), np.asarray(indices, dtype=np.int64),
              np.asarray(indptr)),
             shape=(count, dim),
         )
-    return coefficients, vectors
-
-
-def _block_header(vectors):
-    layout = "sparse" if sp.issparse(vectors) else "dense"
-    return vectors.shape[0], vectors.shape[1], layout
+    return np.array(coefficients, dtype=float), vectors
 
 
 def save_model(path, model) -> None:
@@ -137,19 +120,14 @@ def save_model(path, model) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MODEL_HEADER}\n")
         fh.write(f"type {'svmplus' if plus else 'svm'}\n")
-        fh.write(f"kernel {model.kernel.family} {repr(model.kernel.gamma)}\n")
+        fh.write(f"kernel rbf {repr(model.kernel.gamma)}\n")
         fh.write(f"bias {repr(model.bias)}\n")
-        n, d, layout = _block_header(model.support_vectors)
-        fh.write(f"support {n} {d} {layout}\n")
-        _write_rows(fh, model.weights, model.support_vectors)
+        _write_block(fh, "support", model.weights, model.support_vectors)
         if plus:
-            ck = model.correcting_kernel
-            fh.write(f"correcting_kernel {ck.family} {repr(ck.gamma)}\n")
+            fh.write(f"correcting_kernel rbf {repr(model.correcting_kernel.gamma)}\n")
             fh.write(f"gamma_plus {repr(float(model.gamma_plus))}\n")
             fh.write(f"bias_star {repr(float(model.bias_star))}\n")
-            n, d, layout = _block_header(model.correcting_vectors)
-            fh.write(f"correcting {n} {d} {layout}\n")
-            _write_rows(fh, model.deltas, model.correcting_vectors)
+            _write_block(fh, "correcting", model.deltas, model.correcting_vectors)
 
 
 def _expect(lines, keyword, count=1):
@@ -162,36 +140,32 @@ def _expect(lines, keyword, count=1):
     return fields[1:]
 
 
-def _expect_header(lines, header):
-    line = lines.next("header")
-    if line != header:
-        raise lines.error(f"bad header {line!r}")
+def _read_kernel(lines, keyword) -> KernelSpec:
+    family, gamma = _expect(lines, keyword, 2)
+    if family != "rbf":
+        raise lines.error(f"unsupported kernel family {family!r}")
+    return KernelSpec(float(gamma))
 
 
 def load_model(path):
     """Inverse of :func:`save_model`."""
-    return _parse(path, _parse_model)
+    return _parse(path, MODEL_HEADER, _parse_model)
 
 
 def _parse_model(lines):
-    _expect_header(lines, MODEL_HEADER)
     (kind,) = _expect(lines, "type")
     if kind not in ("svm", "svmplus"):
         raise lines.error(f"unknown model type {kind!r}")
-    family, gamma = _expect(lines, "kernel", 2)
-    kernel = KernelSpec(gamma=float(gamma), family=family)
+    kernel = _read_kernel(lines, "kernel")
     bias = _finite(lines, _expect(lines, "bias")[0])
-    n, d, layout = _expect(lines, "support", 3)
-    weights, support = _read_rows(lines, int(n), int(d), layout, "support")
+    weights, support = _read_block(lines, "support")
     fields = dict(support_vectors=support, weights=weights, bias=bias, kernel=kernel)
     if kind == "svm":
         return DecisionModel(**fields)
-    family, gamma = _expect(lines, "correcting_kernel", 2)
-    correcting_kernel = KernelSpec(gamma=float(gamma), family=family)
+    correcting_kernel = _read_kernel(lines, "correcting_kernel")
     gamma_plus = _finite(lines, _expect(lines, "gamma_plus")[0])
     bias_star = _finite(lines, _expect(lines, "bias_star")[0])
-    n, d, layout = _expect(lines, "correcting", 3)
-    deltas, vectors = _read_rows(lines, int(n), int(d), layout, "correcting")
+    deltas, vectors = _read_block(lines, "correcting")
     return SvmPlusModel(
         **fields,
         deltas=deltas,
@@ -213,11 +187,10 @@ def save_calibration(path, table: CalibrationTable) -> None:
 
 
 def load_calibration(path) -> CalibrationTable:
-    return _parse(path, _parse_calibration)
+    return _parse(path, CALIBRATION_HEADER, _parse_calibration)
 
 
 def _parse_calibration(lines) -> CalibrationTable:
-    _expect_header(lines, CALIBRATION_HEADER)
     scores = {}
     for expected in (-1, 1):
         label_str, count = _expect(lines, "class", 2)

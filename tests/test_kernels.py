@@ -18,8 +18,6 @@ def test_spec_requires_positive_gamma():
         KernelSpec(gamma=0.0)
     with pytest.raises(ValueError):
         KernelSpec(gamma=-1.0)
-    with pytest.raises(ValueError):
-        KernelSpec(gamma=1.0, family="poly")
 
 
 def test_rbf_identity_is_one():
