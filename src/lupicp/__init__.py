@@ -12,9 +12,6 @@ from .conformal import (
     CalibrationTable,
     accuracy,
     calibrate,
-    conformity_score,
-    mondrian_pvalue,
-    mondrian_pvalue_smoothed,
     observed_fuzziness,
     pairs_from_decision_values,
     predict_region,
@@ -22,7 +19,7 @@ from .conformal import (
 )
 from .dataio import DataFormatError, TripletDataset, load_feature_file, load_labels, load_mnist_5v8
 from .experiment import ExperimentConfig, ExperimentReport, run_experiment
-from .kernels import KernelSpec, gram_matrix, rbf_eval
+from .kernels import KernelSpec, gram_matrix
 from .model_io import load_calibration, load_model, save_calibration, save_model
 from .qp import (
     QpNonConvergenceError,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data/format error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -82,12 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "reps", None) is not None:
-        cfg.repetitions = args.reps
-    return cfg
+    """The config file with the --seed and --reps overrides, validated as
+    the file's own values are."""
+    overrides = {
+        field: getattr(args, flag)
+        for field, flag in (("seed", "seed"), ("repetitions", "reps"))
+        if getattr(args, flag, None) is not None
+    }
+    return dataclasses.replace(load_config(args.config), **overrides)
 
 
 def cmd_tune(args) -> int:

@@ -6,10 +6,8 @@ count calibration scores at or below the test score.  Counting within
 each class separately (the Mondrian construction) gives per-class
 validity.
 
-P-values are deterministic by default: ties count toward the numerator,
-which keeps outputs reproducible at the price of slightly conservative
-validity.  :func:`mondrian_pvalue_smoothed` provides the tie-randomized
-variant whose validity is exact, used for statistical audits.
+P-values are deterministic: ties count toward the numerator, which keeps
+outputs reproducible at the price of slightly conservative validity.
 
 The batch API works on arrays.  The p-values of n test objects are an
 (n, 2) float array whose columns follow ``LABELS``, p(-1) then p(+1)
@@ -27,10 +25,7 @@ import numpy as np
 __all__ = [
     "CalibrationTable",
     "ValidityDeviation",
-    "conformity_score",
     "calibrate",
-    "mondrian_pvalue",
-    "mondrian_pvalue_smoothed",
     "pairs_from_decision_values",
     "predict_region",
     "observed_fuzziness",
@@ -62,11 +57,6 @@ class CalibrationTable:
         return self.count(label) == 0
 
 
-def conformity_score(model, x, y: int) -> float:
-    """Margin y * f(x); larger means more conforming."""
-    return float(y) * model.decision_value(x)
-
-
 def calibrate(model, X_cal, y_cal) -> CalibrationTable:
     """Score a calibration set through a trained model."""
     y_cal = np.asarray(y_cal)
@@ -76,45 +66,13 @@ def calibrate(model, X_cal, y_cal) -> CalibrationTable:
     )
 
 
-def mondrian_pvalue(table: CalibrationTable, score: float, hypothesized: int) -> float:
-    """(#{calibration scores of the class <= score} + 1) / (n_class + 1).
-
-    Ties count toward the numerator.  An empty class list yields the
-    vacuous p-value 1.0; :meth:`CalibrationTable.is_vacuous` exposes the
-    condition to callers that need the diagnostic.
-    """
-    scores = table.scores_by_class[hypothesized]
-    n = scores.shape[0]
-    if n == 0:
-        return 1.0
-    at_or_below = int(np.searchsorted(scores, score, side="right"))
-    return (at_or_below + 1) / (n + 1)
-
-
-def mondrian_pvalue_smoothed(
-    table: CalibrationTable, score: float, hypothesized: int, tau: float
-) -> float:
-    """Tie-randomized p-value (#{< score} + tau * (#{= score} + 1)) / (n + 1).
-
-    With tau uniform on [0, 1] the p-value of an exchangeable example is
-    itself uniform, giving exact rather than conservative validity.
-    """
-    scores = table.scores_by_class[hypothesized]
-    n = scores.shape[0]
-    if n == 0:
-        return 1.0
-    below = int(np.searchsorted(scores, score, side="left"))
-    ties = int(np.searchsorted(scores, score, side="right")) - below
-    return (below + tau * (ties + 1)) / (n + 1)
-
-
 def pairs_from_decision_values(table: CalibrationTable, values) -> np.ndarray:
     """P-values of test objects from their raw decision values f(x).
 
     Returns an (n, 2) array whose columns are p(-1) and p(+1): under the
-    hypothesized label y the conformity score is y * f(x), counted
-    against that class's calibration scores as in :func:`mondrian_pvalue`.
-    A vacuous class gives p-values of 1.0.
+    hypothesized label y the conformity score is y * f(x), and its p-value
+    is (#{calibration scores of class y <= score} + 1) / (n_y + 1).  A
+    vacuous class gives p-values of 1.0.
     """
     values = np.asarray(values, dtype=float)
     pvalues = np.ones((values.shape[0], len(LABELS)))

@@ -37,7 +37,6 @@ __all__ = [
     "write_feature_file",
     "load_labels",
     "write_labels",
-    "assemble_triplet",
 ]
 
 logger = logging.getLogger(__name__)
@@ -62,12 +61,11 @@ class DataFormatError(Exception):
 
 @dataclass
 class TripletDataset:
-    """Aligned (X, X*, y) rows plus a source descriptor."""
+    """Aligned (X, X*, y) rows with -1/+1 labels of both classes."""
 
     X: object
     Xstar: object
     y: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         n = self.X.shape[0]
@@ -158,9 +156,11 @@ def area_downscale(images: np.ndarray, size_out: int = 8) -> np.ndarray:
 def load_mnist_5v8(images_path, labels_path, limit: int = MNIST_LIMIT) -> TripletDataset:
     """5-vs-8 triplets: X is the 8x8 downscale, X* the raw 784 pixels.
 
-    Digits are mapped 5 -> -1 and 8 -> +1; at most ``limit`` examples are
-    kept, first occurrences in file order.
+    Digits are mapped 5 -> -1 and 8 -> +1; at most ``limit`` (at least 1)
+    examples are kept, first occurrences in file order.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     images = read_idx_images(images_path)
     digits = read_idx_labels(labels_path)
     if images.shape[0] != digits.shape[0]:
@@ -177,10 +177,7 @@ def load_mnist_5v8(images_path, labels_path, limit: int = MNIST_LIMIT) -> Triple
     xstar = scaled.reshape(keep.shape[0], -1)
     x = area_downscale(scaled).reshape(keep.shape[0], -1)
     y = np.array([DIGIT_LABELS[int(d)] for d in digits[keep]])
-    return TripletDataset(
-        X=x, Xstar=xstar, y=y,
-        provenance=f"mnist-5v8:{images_path}",
-    )
+    return TripletDataset(X=x, Xstar=xstar, y=y)
 
 
 def load_feature_file(path, format: str = "dense-csv", skip_header: bool = False):
@@ -406,8 +403,3 @@ def write_labels(path, y) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for v in np.asarray(y):
             fh.write(f"{int(v)}\n")
-
-
-def assemble_triplet(X, Xstar, y, provenance: str = "") -> TripletDataset:
-    """Bundle loaded parts, enforcing aligned row counts and label sanity."""
-    return TripletDataset(X=X, Xstar=Xstar, y=np.asarray(y), provenance=provenance)

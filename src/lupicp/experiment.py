@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .conformal import (
     pairs_from_decision_values,
     validity_deviation,
 )
-from .dataio import MNIST_LIMIT, TripletDataset, assemble_triplet, load_feature_file, load_labels, load_mnist_5v8
+from .dataio import MNIST_LIMIT, TripletDataset, load_feature_file, load_labels, load_mnist_5v8
 from .kernels import KernelSpec
 from .selection import (
     GridSpec,
@@ -38,7 +38,7 @@ from .selection import (
     stratified_split,
     tune_three_step,
 )
-from .svm import SvmConfig, svm_train
+from .svm import SvmConfig, sign_labels, svm_train
 from .svmplus import SvmPlusConfig, svmplus_train
 
 __all__ = [
@@ -92,7 +92,7 @@ class DatasetConfig:
             X = load_feature_file(self.x_path, self.x_format)
             Xstar = load_feature_file(self.xstar_path, self.xstar_format)
             y = load_labels(self.labels_path)
-            return assemble_triplet(X, Xstar, y, provenance=str(self.labels_path))
+            return TripletDataset(X=X, Xstar=Xstar, y=y)
         raise ValueError(f"unknown dataset kind {self.kind!r}")
 
     def paths(self):
@@ -205,18 +205,8 @@ class ExperimentReport:
     timings: dict
     failed_repetitions: list
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "selected_parameters": self.selected_parameters,
-            "per_model": self.per_model,
-            "counts": self.counts,
-            "timings": self.timings,
-            "failed_repetitions": self.failed_repetitions,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def summary_table(self) -> str:
         lines = [
@@ -393,9 +383,8 @@ def _one_repetition(cfg, selected, X_train, Xstar_train, y_train,
         table = calibrate(model, decision_features(key, X_train, Xstar_train)[cal], y_c)
         test_values = model.decision_values(decision_features(key, X_test, Xstar_test))
         pvalues = pairs_from_decision_values(table, test_values)
-        predictions = np.where(test_values >= 0.0, 1, -1)
         metrics[key] = {
-            "accuracy": accuracy(predictions, y_test),
+            "accuracy": accuracy(sign_labels(test_values), y_test),
             "validity_deviation": validity_deviation(pvalues, y_test, eps_grid).pooled,
             "observed_fuzziness": observed_fuzziness(pvalues, y_test),
         }

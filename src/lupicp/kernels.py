@@ -15,7 +15,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "KernelSpec",
-    "rbf_eval",
     "gram_matrix",
     "squared_distances",
     "rbf_from_squared_distances",
@@ -88,12 +87,3 @@ def gram_matrix(rows_a, rows_b, spec: KernelSpec) -> np.ndarray:
     """Dense kernel matrix with entry (i, j) = k(rows_a[i], rows_b[j])."""
     return rbf_from_squared_distances(squared_distances(rows_a, rows_b), spec.gamma)
 
-
-def rbf_eval(a, b, spec: KernelSpec) -> float:
-    """Scalar kernel value exp(-gamma * ||a - b||^2) for two vectors."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"vector dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    diff = a - b
-    return float(np.exp(-spec.gamma * np.dot(diff, diff)))

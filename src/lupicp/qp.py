@@ -36,7 +36,7 @@ equality rows are rejected up front with ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -148,7 +148,6 @@ class QpSolution:
     kkt_residual: float
     iterations: int
     stop_reason: str
-    trace: list = field(default_factory=list, repr=False)
 
 
 def _residual_terms(p: QpProblem, x: np.ndarray, multipliers: np.ndarray, Qx=None):
@@ -211,50 +210,61 @@ def _max_step(v, dv):
     return float(min(1.0, np.min(v[mask] / -dv[mask])))
 
 
+def _kkt_solver(M, A):
+    """Factor ``M`` (overwritten) and return ``solve(f, g) -> (dx, dy)``
+    for the system ``M dx - A'dy = f``, ``A dx = g``.
+
+    ``M`` is eliminated by its Cholesky factor and ``dy`` found from the
+    Schur complement ``A M^-1 A'``, which is built once per factorization
+    and reused by every right-hand side.  Raises ``LinAlgError`` when
+    ``M`` is not numerically positive definite.
+    """
+    factor = scipy.linalg.cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+    if A.shape[0]:
+        at_solved = scipy.linalg.cho_solve(factor, A.T, check_finite=False)
+        schur = A @ at_solved
+
+    def solve(f, g):
+        f_solved = scipy.linalg.cho_solve(factor, f, check_finite=False)
+        if not A.shape[0]:
+            return f_solved, np.zeros(0)
+        dy = np.linalg.solve(schur, g - A @ f_solved)
+        return f_solved + at_solved @ dy, dy
+
+    return solve
+
+
 def _ipm(p: QpProblem, tol, max_iter):
     """Predictor-corrector loop.
 
-    Returns (x, y, iterations, trace, residual, stop reason) for the best
+    Returns (x, y, iterations, residual, stop reason) for the best
     iterate seen.
     """
     Q, c, A, b, lower, upper = p.Q, p.c, p.A, p.b, p.lower, p.upper
     n = c.shape[0]
-    m = A.shape[0]
     finite_u = np.isfinite(upper)
     n_pairs = n + int(finite_u.sum())
     diag_idx = np.arange(n)
     m_work = np.empty_like(Q)  # reused per iteration; potrf overwrites it
 
     x = _start_point(lower, upper)
-    y = np.zeros(m)
+    y = np.zeros(A.shape[0])
     zl = np.ones(n)
     zu = np.where(finite_u, 1.0, 0.0)
 
-    trace = []
     best = None
     reason = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
         Qx = Q @ x
         res = _residual_terms(p, x, y, Qx=Qx)
-        obj = float(0.5 * x @ Qx + c @ x)
-        primal_inf = float(np.max(np.abs(A @ x - b))) if m else 0.0
         sl = x - lower
         su = np.where(finite_u, upper - x, 1.0)
         mu = float(np.sum(sl * zl) + np.sum(su[finite_u] * zu[finite_u])) / n_pairs
-        trace.append(
-            {
-                "iteration": it - 1,
-                "objective": obj,
-                "primal_infeasibility": primal_inf,
-                "kkt_residual": res,
-                "mu": mu,
-            }
-        )
         if best is None or res < best[-1]:
             best = (x.copy(), y.copy(), it - 1, res)
         if res <= tol:
-            return x, y, it - 1, trace, res, "converged"
+            return x, y, it - 1, res, "converged"
 
         # slacks can collapse to zero at float precision near the solution
         if np.any(sl <= 0.0) or np.any(su[finite_u] <= 0.0):
@@ -266,32 +276,17 @@ def _ipm(p: QpProblem, tol, max_iter):
         np.copyto(m_work, Q)
         m_work[diag_idx, diag_idx] += d + RIDGE
         try:
-            factor = scipy.linalg.cho_factor(
-                m_work, lower=True, overwrite_a=True, check_finite=False
-            )
+            solve = _kkt_solver(m_work, A)
         except np.linalg.LinAlgError:
             reason = "factorization failed"
             break
-
-        def solve_m(rhs, factor=factor):
-            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-
-        if m:
-            at_solved = solve_m(A.T)
+        g = -(A @ x - b)
 
         def direction(t_l, t_u):
-            f = -(Qx + c - (A.T @ y if m else 0.0) - zl + zu)
+            f = -(Qx + c - A.T @ y - zl + zu)
             f = f + t_l / sl
             f = f - np.where(finite_u, t_u / su, 0.0)
-            f_solved = solve_m(f)
-            if m:
-                r_p = A @ x - b
-                schur = A @ at_solved
-                dy = np.linalg.solve(schur, -r_p - A @ f_solved)
-                dx = f_solved + at_solved @ dy
-            else:
-                dy = np.zeros(0)
-                dx = f_solved
+            dx, dy = solve(f, g)
             dzl = (t_l - zl * dx) / sl
             dzu = np.where(finite_u, (t_u + zu * dx) / su, 0.0)
             return dx, dy, dzl, dzu
@@ -340,22 +335,7 @@ def _ipm(p: QpProblem, tol, max_iter):
     res_now = _residual_terms(p, x, y)
     if res_now < res_b:
         x_b, y_b, it_b, res_b = x, y, it, res_now
-    return x_b, y_b, it_b, trace, res_b, reason
-
-
-def _solve_reduced_kkt(Q_ff, c, A, b):
-    """Solve Q_ff x - A'y = -c, A x = b by Cholesky and the Schur complement.
-
-    ``Q_ff`` is overwritten, so the solve needs no memory beyond that copy.
-    """
-    Q_ff[np.diag_indices_from(Q_ff)] += RIDGE
-    factor = scipy.linalg.cho_factor(Q_ff, lower=True, overwrite_a=True, check_finite=False)
-    x = -scipy.linalg.cho_solve(factor, c, check_finite=False)
-    if not A.shape[0]:
-        return x, np.zeros(0)
-    w = scipy.linalg.cho_solve(factor, A.T, check_finite=False)
-    y = np.linalg.solve(A @ w, b - A @ x)
-    return x + w @ y, y
+    return x_b, y_b, it_b, res_b, reason
 
 
 def _polish(p: QpProblem, x, y, res, max_rounds=10):
@@ -370,9 +350,7 @@ def _polish(p: QpProblem, x, y, res, max_rounds=10):
     system is singular or the result has no lower residual.
     """
     finite_u = np.isfinite(p.upper)
-    g = p.Q @ x + p.c
-    if p.A.shape[0]:
-        g = g - p.A.T @ y
+    g = p.Q @ x + p.c - p.A.T @ y
     at_lower = (g > 0) & (x - p.lower < g)
     at_upper = finite_u & (g < 0) & (p.upper - x < -g)
     for _ in range(max_rounds):
@@ -382,11 +360,11 @@ def _polish(p: QpProblem, x, y, res, max_rounds=10):
         y_new = y  # kept when no free variable is left to determine it
         if free.any():
             bound = ~free
+            Q_ff = p.Q[np.ix_(free, free)]
+            Q_ff[np.diag_indices_from(Q_ff)] += RIDGE
             try:
-                x_f, y_new = _solve_reduced_kkt(
-                    p.Q[np.ix_(free, free)],
-                    p.c[free] + p.Q[np.ix_(free, bound)] @ fixed[bound],
-                    p.A[:, free],
+                x_f, y_new = _kkt_solver(Q_ff, p.A[:, free])(
+                    -(p.c[free] + p.Q[np.ix_(free, bound)] @ fixed[bound]),
                     p.b - p.A[:, bound] @ fixed[bound],
                 )
             except np.linalg.LinAlgError:
@@ -394,9 +372,7 @@ def _polish(p: QpProblem, x, y, res, max_rounds=10):
             if not (np.all(np.isfinite(x_f)) and np.all(np.isfinite(y_new))):
                 return x, y, res
             x_new[free] = x_f
-        g = p.Q @ x_new + p.c
-        if p.A.shape[0]:
-            g = g - p.A.T @ y_new
+        g = p.Q @ x_new + p.c - p.A.T @ y_new
         new_lower = (free & (x_new < p.lower)) | (at_lower & (g >= 0))
         new_upper = (free & finite_u & (x_new > p.upper)) | (at_upper & (g <= 0))
         if np.array_equal(new_lower, at_lower) and np.array_equal(new_upper, at_upper):
@@ -425,7 +401,7 @@ def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    x, y, iters, trace, res, reason = _ipm(p, tol=tol, max_iter=max_iter)
+    x, y, iters, res, reason = _ipm(p, tol=tol, max_iter=max_iter)
     x, y, res = _polish(p, x, y, res)
     solution = QpSolution(
         x=x,
@@ -434,7 +410,6 @@ def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution
         kkt_residual=res,
         iterations=iters,
         stop_reason="converged" if res <= tol else reason,
-        trace=trace,
     )
     if res > tol:
         raise QpNonConvergenceError(

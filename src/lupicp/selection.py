@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, rbf_from_squared_distances, squared_distances
-from .svm import SvmConfig, TrainingError, svm_train
+from .svm import SvmConfig, TrainingError, sign_labels, svm_train
 from .svmplus import SvmPlusConfig, svmplus_train
 
 __all__ = [
@@ -229,8 +229,7 @@ def _cross_validate(y, cache, groups, fit, gamma_name):
                 for f, k in zip(cache, kernels):
                     model = fit(C, gamma, f, k)
                     vals = k[1][:, model.support_indices] @ model.weights + model.bias
-                    preds = np.where(vals >= 0.0, 1, -1)
-                    accs.append(np.mean(preds == y[f["validate"]]))
+                    accs.append(np.mean(sign_labels(vals) == y[f["validate"]]))
             except TrainingError as exc:
                 logger.warning(
                     "grid cell C=%g %s=%g failed: %s", C, gamma_name, gamma, exc

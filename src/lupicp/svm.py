@@ -24,6 +24,7 @@ __all__ = [
     "DecisionModel",
     "TrainingError",
     "svm_train",
+    "sign_labels",
 ]
 
 logger = logging.getLogger(__name__)
@@ -88,31 +89,11 @@ class DecisionModel:
             )
         return values
 
-    def decision_value(self, x) -> float:
-        return float(self.decision_values(_as_row(x, self.support_vectors))[0])
 
-    def predict_labels(self, X) -> np.ndarray:
-        # exact zero maps to +1 so repeated runs agree bit for bit
-        return np.where(self.decision_values(X) >= 0.0, 1, -1)
-
-    def predict_label(self, x) -> int:
-        return int(self.predict_labels(_as_row(x, self.support_vectors))[0])
-
-
-def _as_row(x, like):
-    import scipy.sparse as sp
-
-    if sp.issparse(x):
-        return x
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        expected = like.shape[1] if like is not None and hasattr(like, "shape") else None
-        if expected is not None and x.shape[0] != expected:
-            raise ValueError(
-                f"feature dimension mismatch: {x.shape[0]} vs {expected}"
-            )
-        return x[None, :]
-    return x
+def sign_labels(values) -> np.ndarray:
+    """Labels predicted from decision values: +1 where f >= 0, else -1.
+    An exact zero maps to +1, so repeated runs agree bit for bit."""
+    return np.where(np.asarray(values) >= 0.0, 1, -1)
 
 
 def check_labels(y) -> np.ndarray:

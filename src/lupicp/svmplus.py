@@ -28,7 +28,7 @@ import numpy as np
 
 from .kernels import KernelSpec, gram_matrix
 from .qp import QpProblem
-from .svm import DecisionModel, PRUNE_TOL, _as_row, check_labels, solve_or_accept
+from .svm import DecisionModel, PRUNE_TOL, check_labels, solve_or_accept
 
 __all__ = [
     "SvmPlusConfig",
@@ -82,11 +82,6 @@ class SvmPlusModel(DecisionModel):
     def correcting_values(self, Xstar) -> np.ndarray:
         K = gram_matrix(Xstar, self.correcting_vectors, self.correcting_kernel)
         return (K @ self.deltas) / self.gamma_plus + self.bias_star
-
-    def correcting_value(self, xstar) -> float:
-        return float(
-            self.correcting_values(_as_row(xstar, self.correcting_vectors))[0]
-        )
 
 
 def assemble_dual(K, Kstar, y, C, gamma_plus):

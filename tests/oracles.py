@@ -5,7 +5,8 @@ is a feasible-set grid search with elimination of the equality
 constraints, and the SVM+ oracle is a long-running projected-gradient
 descent whose projection is computed by exact active-set enumeration.
 Both use nothing beyond numpy primitives.  The dense-CSV oracle is the
-plain text-mode line loop that the numpy parser must agree with.
+plain text-mode line loop that the numpy parser must agree with, and the
+p-value oracle scores one test object by counting, with no binary search.
 """
 
 from __future__ import annotations
@@ -295,6 +296,19 @@ def rbf_gram_loops(X, gamma):
             diff = X[i] - X[j]
             K[i, j] = np.exp(-gamma * np.dot(diff, diff))
     return K
+
+
+def mondrian_pvalue(table, score, hypothesized):
+    """(#{calibration scores of the class <= score} + 1) / (n_class + 1).
+
+    The reference for one entry of ``pairs_from_decision_values``: ties
+    count toward the numerator, and an empty class gives 1.0.
+    """
+    scores = table.scores_by_class[hypothesized]
+    if len(scores) == 0:
+        return 1.0
+    at_or_below = sum(1 for s in scores if s <= score)
+    return (at_or_below + 1) / (len(scores) + 1)
 
 
 def load_dense_csv_lines(path, skip_header=False):

@@ -11,6 +11,7 @@ train-labels-idx1-ubyte, and set LUPICP_MNIST_FULL=1 for the full
 import json
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -391,7 +392,7 @@ def test_criterion_8_experiment_determinism(tmp_path):
             grid_svm_xstar=GridSpec((1.0,), (0.25,)),
             grid_svmplus=GridSpec((1.0,), (0.1,)),
         )
-        payload = run_experiment(cfg).to_dict()
+        payload = asdict(run_experiment(cfg))
         payload.pop("timings")
         return json.dumps(payload, sort_keys=True).encode()
 

@@ -49,6 +49,19 @@ def test_experiment_end_to_end(tmp_path, config_path, capsys):
     assert "SVM on X*" in stdout
 
 
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_experiment_rejects_reps_below_one(tmp_path, config_path, capsys, reps):
+    # the override is validated like the config value, before any tuning
+    out = tmp_path / "report.json"
+    code = main(["experiment", "--config", str(config_path), "--reps", reps,
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "lupicp: error: repetitions must be at least 1" in err
+    assert "selected parameters" not in err
+    assert not out.exists()
+
+
 def test_tune_prints_selected_cells(tmp_path, config_path, capsys):
     out = tmp_path / "params.json"
     assert main(["tune", "--config", str(config_path), "--out", str(out)]) == 0
@@ -369,6 +382,29 @@ def test_mnist_prepare(tmp_path, capsys):
     assert X.shape == (7, 64)
     assert Xstar.shape == (7, 784)
     assert np.array_equal(y, np.where(labels[labels != 2] == 8, 1, -1))
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_mnist_limit_below_one_is_a_usage_error(tmp_path, capsys, limit):
+    labels = np.array([5, 8, 5, 8], dtype=np.uint8)
+    write_idx_images(tmp_path / "img", np.zeros((4, 28, 28), dtype=np.uint8))
+    write_idx_labels(tmp_path / "lab", labels)
+    out_dir = tmp_path / "out"
+    code = main([
+        "mnist-prepare", "--images", str(tmp_path / "img"),
+        "--labels", str(tmp_path / "lab"), "--out-dir", str(out_dir),
+        "--limit", limit,
+    ])
+    assert code == 1
+    assert f"limit must be at least 1, got {limit}" in capsys.readouterr().err
+    assert not out_dir.exists()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": {
+        "kind": "mnist-idx", "images": str(tmp_path / "img"),
+        "labels": str(tmp_path / "lab"), "limit": int(limit),
+    }}))
+    assert main(["experiment", "--config", str(config)]) == 1
+    assert f"limit must be at least 1, got {limit}" in capsys.readouterr().err
 
 
 def test_mnist_prepare_missing_file(tmp_path, capsys):

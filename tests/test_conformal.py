@@ -7,10 +7,7 @@ from lupicp.conformal import (
     CalibrationTable,
     accuracy,
     calibrate,
-    conformity_score,
     default_epsilon_grid,
-    mondrian_pvalue,
-    mondrian_pvalue_smoothed,
     observed_fuzziness,
     pairs_from_decision_values,
     predict_region,
@@ -19,14 +16,12 @@ from lupicp.conformal import (
 from lupicp.kernels import KernelSpec
 from lupicp.svm import SvmConfig, svm_train
 from conftest import two_blobs
+from oracles import mondrian_pvalue
 
 
 class StubModel:
     def __init__(self, value):
         self.value = value
-
-    def decision_value(self, x):
-        return self.value
 
     def decision_values(self, X):
         return np.full(len(X), self.value)
@@ -36,11 +31,21 @@ def table(scores):
     return CalibrationTable(scores_by_class={-1: scores, 1: scores})
 
 
+def p_plus(t, score):
+    """p(+1) of one test object whose conformity score under +1 is score."""
+    return pairs_from_decision_values(t, [score])[0, 1]
+
+
 def test_conformity_score_is_signed_margin():
-    assert conformity_score(StubModel(0.7), None, 1) == pytest.approx(0.7)
-    assert conformity_score(StubModel(0.7), None, -1) == pytest.approx(-0.7)
-    assert conformity_score(StubModel(0.0), None, 1) == 0.0
-    assert conformity_score(StubModel(0.0), None, -1) == 0.0
+    # calibration scores are y * f(x): f = 0.7 gives +0.7 in class +1
+    # and -0.7 in class -1
+    y = np.array([1, -1, 1, -1, -1])
+    t = calibrate(StubModel(0.7), np.zeros((5, 2)), y)
+    assert t.scores_by_class[1].tolist() == [0.7, 0.7]
+    assert t.scores_by_class[-1].tolist() == [-0.7, -0.7, -0.7]
+    zero = calibrate(StubModel(0.0), np.zeros((5, 2)), y)
+    assert zero.scores_by_class[1].tolist() == [0.0, 0.0]
+    assert zero.scores_by_class[-1].tolist() == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -49,6 +54,9 @@ def test_conformity_score_is_signed_margin():
 )
 def test_mondrian_pvalue_counting(score, expected):
     t = table([0.2, 0.5, 0.8])
+    pvalues = pairs_from_decision_values(t, [score, -score])
+    assert pvalues[0, 1] == pytest.approx(expected)  # f = score under +1
+    assert pvalues[1, 0] == pytest.approx(expected)  # f = -score under -1
     assert mondrian_pvalue(t, score, 1) == pytest.approx(expected)
 
 
@@ -56,14 +64,16 @@ def test_vacuous_class_gives_p_one():
     t = CalibrationTable(scores_by_class={1: [0.1, 0.2]})
     assert t.is_vacuous(-1)
     assert not t.is_vacuous(1)
-    assert mondrian_pvalue(t, -5.0, -1) == 1.0
+    assert pairs_from_decision_values(t, [5.0])[0, 0] == 1.0
 
 
 def test_pvalue_monotone_in_score():
     t = table(np.linspace(-1, 1, 17))
     scores = np.linspace(-2, 2, 41)
-    values = [mondrian_pvalue(t, s, 1) for s in scores]
-    assert all(a <= b for a, b in zip(values, values[1:]))
+    pvalues = pairs_from_decision_values(t, scores)
+    # p(+1) rises with f, p(-1) (whose conformity score is -f) falls
+    assert np.all(np.diff(pvalues[:, 1]) >= 0)
+    assert np.all(np.diff(pvalues[:, 0]) <= 0)
 
 
 @given(
@@ -73,15 +83,15 @@ def test_pvalue_monotone_in_score():
 @settings(max_examples=60, deadline=None)
 def test_adding_calibration_scores_moves_p(cal, score):
     t0 = CalibrationTable(scores_by_class={1: cal})
-    p0 = mondrian_pvalue(t0, score, 1)
+    p0 = p_plus(t0, score)
     below = CalibrationTable(scores_by_class={1: cal + [score - 1.0]})
     above = CalibrationTable(scores_by_class={1: cal + [score + 1.0]})
-    p_below = mondrian_pvalue(below, score, 1)
+    p_below = p_plus(below, score)
     if p0 < 1.0:
         assert p_below > p0  # climbs toward 1
     else:
         assert p_below == 1.0
-    assert mondrian_pvalue(above, score, 1) < p0
+    assert p_plus(above, score) < p0
 
 
 def test_region_membership_rules():
@@ -177,15 +187,6 @@ def test_calibrate_splits_by_class():
         assert np.all(np.diff(scores) >= 0)
 
 
-def test_smoothed_pvalue_brackets_deterministic():
-    t = table([0.2, 0.5, 0.8])
-    p_det = mondrian_pvalue(t, 0.5, 1)
-    assert mondrian_pvalue_smoothed(t, 0.5, 1, tau=1.0) == pytest.approx(p_det)
-    assert mondrian_pvalue_smoothed(t, 0.5, 1, tau=0.0) == pytest.approx(0.25)
-    mid = mondrian_pvalue_smoothed(t, 0.5, 1, tau=0.5)
-    assert 0.25 < mid < p_det
-
-
 def test_pairs_from_decision_values_match_scalar_path():
     X, y = two_blobs(30, seed=2)
     model = svm_train(X, y, SvmConfig(C=1.0, kernel=KernelSpec(0.5)))
@@ -215,10 +216,9 @@ def test_true_class_pvalues_stochastically_above_uniform():
         cal = rng.standard_normal(n_cal)
         test = rng.standard_normal(n_test)
         t = CalibrationTable(scores_by_class={1: cal, -1: []})
-        for s in test:
-            p = mondrian_pvalue(t, s, 1)
-            for eps in hits:
-                hits[eps] += p <= eps
+        p = pairs_from_decision_values(t, test)[:, 1]
+        for eps in hits:
+            hits[eps] += int(np.sum(p <= eps))
         total += n_test
     for eps, count in hits.items():
         sigma = np.sqrt(eps * (1 - eps) / total)

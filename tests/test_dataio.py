@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from lupicp.dataio import (
     DataFormatError,
+    TripletDataset,
     area_downscale,
-    assemble_triplet,
     load_feature_file,
     load_labels,
     load_mnist_5v8,
@@ -76,6 +76,16 @@ def test_mnist_label_mapping_and_cap(tmp_path):
     assert data.n == 10
     kept = labels[np.isin(labels, [5, 8])][:10]  # first occurrences in file order
     assert np.array_equal(data.y, np.where(kept == 8, 1, -1))
+
+
+@pytest.mark.parametrize("limit", [0, -1, -7])
+def test_mnist_limit_below_one_rejected(tmp_path, limit):
+    # a negative limit used to slice off the last examples, and 0 to
+    # report a digit as missing
+    img_path, lab_path, _, _ = synthetic_mnist(tmp_path, [5, 8], n_per=3)
+    with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
+        load_mnist_5v8(img_path, lab_path, limit=limit)
+    assert load_mnist_5v8(img_path, lab_path, limit=4).n == 4
 
 
 def test_mnist_missing_digit(tmp_path):
@@ -278,8 +288,8 @@ def test_triplet_row_count_enforced():
     X = np.zeros((3, 2))
     Xstar = np.zeros((3, 4))
     with pytest.raises(ValueError):
-        assemble_triplet(X, Xstar, np.array([-1, 1]))
+        TripletDataset(X=X, Xstar=Xstar, y=np.array([-1, 1]))
     with pytest.raises(ValueError):
-        assemble_triplet(X, np.zeros((2, 4)), np.array([-1, 1, 1]))
-    data = assemble_triplet(X, Xstar, np.array([-1, 1, 1]))
+        TripletDataset(X=X, Xstar=np.zeros((2, 4)), y=np.array([-1, 1, 1]))
+    data = TripletDataset(X=X, Xstar=Xstar, y=np.array([-1, 1, 1]))
     assert data.n == 3

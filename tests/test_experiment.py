@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -64,8 +65,8 @@ def test_deterministic_reports(triplet_files):
     cfg2 = small_config(triplet_files)
     r1 = run_experiment(cfg1)
     r2 = run_experiment(cfg2)
-    assert json.dumps(strip_timings(r1.to_dict()), sort_keys=True) == json.dumps(
-        strip_timings(r2.to_dict()), sort_keys=True
+    assert json.dumps(strip_timings(asdict(r1)), sort_keys=True) == json.dumps(
+        strip_timings(asdict(r2)), sort_keys=True
     )
 
 

@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 from lupicp.kernels import (
     KernelSpec,
     gram_matrix,
-    rbf_eval,
     squared_distances,
 )
 from oracles import rbf_gram_loops
+
+
+def rbf(a, b, spec):
+    """k(a, b) of two vectors, scored as one-row arrays."""
+    return gram_matrix(np.atleast_2d(np.asarray(a, float)),
+                       np.atleast_2d(np.asarray(b, float)), spec)[0, 0]
 
 
 def test_spec_requires_positive_gamma():
@@ -23,21 +28,21 @@ def test_spec_requires_positive_gamma():
 def test_rbf_identity_is_one():
     spec = KernelSpec(gamma=3.7)
     v = np.array([0.3, -1.2, 5.0])
-    assert rbf_eval(v, v, spec) == 1.0
+    assert rbf(v, v, spec) == 1.0
 
 
 def test_rbf_direct_substitution():
-    assert rbf_eval([0.0, 0.0], [1.0, 0.0], KernelSpec(1.0)) == pytest.approx(
+    assert rbf([0.0, 0.0], [1.0, 0.0], KernelSpec(1.0)) == pytest.approx(
         np.exp(-1.0), abs=1e-12
     )
-    assert rbf_eval([1.0, 2.0], [3.0, 4.0], KernelSpec(0.5)) == pytest.approx(
+    assert rbf([1.0, 2.0], [3.0, 4.0], KernelSpec(0.5)) == pytest.approx(
         np.exp(-4.0), abs=1e-12
     )
 
 
 def test_rbf_dimension_mismatch():
-    with pytest.raises(ValueError):
-        rbf_eval([1.0, 2.0], [1.0], KernelSpec(1.0))
+    with pytest.raises(ValueError, match="feature dimension mismatch: 2 vs 1"):
+        rbf([1.0, 2.0], [1.0], KernelSpec(1.0))
 
 
 @given(
@@ -50,8 +55,8 @@ def test_rbf_symmetry_and_range(a, b, gamma):
     if len(a) != len(b):
         b = (b * len(a))[: len(a)]
     spec = KernelSpec(gamma=gamma)
-    k_ab = rbf_eval(a, b, spec)
-    assert k_ab == pytest.approx(rbf_eval(b, a, spec), abs=1e-14)
+    k_ab = rbf(a, b, spec)
+    assert k_ab == pytest.approx(rbf(b, a, spec), abs=1e-14)
     assert 0.0 <= k_ab <= 1.0
     # strict positivity holds wherever exp() does not underflow float64
     if gamma * sum((x - z) ** 2 for x, z in zip(a, b)) < 700:
@@ -76,7 +81,7 @@ def test_gram_matches_scalar_loop():
     X = rng.standard_normal((3, 5))
     spec = KernelSpec(0.8)
     values = gram_matrix(X, X, spec)
-    expected = np.array([[rbf_eval(a, b, spec) for b in X] for a in X])
+    expected = np.array([[rbf(a, b, spec) for b in X] for a in X])
     assert np.max(np.abs(values - expected)) < 1e-12
     assert np.max(np.abs(values - rbf_gram_loops(X, 0.8))) < 1e-12
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lupicp import qp
 from lupicp.qp import QpNonConvergenceError, QpProblem, kkt_residual, solve_qp
 from oracles import qp_reference_solution
 
@@ -146,9 +147,22 @@ def test_validation_rejects_bad_problems():
 def test_monotone_objective_on_feasible_iterates(seed):
     rng = np.random.default_rng(seed)
     p = random_instance(rng, n=int(rng.integers(2, 11)), n_eq=int(rng.integers(0, 3)))
-    s = solve_qp(p)
+    # the interior-point loop scores each iterate once, passing its Qx
+    iterates = []
+    residual_terms = qp._residual_terms
+
+    def record(problem, x, multipliers, Qx=None):
+        if Qx is not None:
+            iterates.append(x.copy())
+        return residual_terms(problem, x, multipliers, Qx=Qx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "_residual_terms", record)
+        solve_qp(p)
+    assert iterates
     feasible = [
-        t["objective"] for t in s.trace if t["primal_infeasibility"] <= 1e-8
+        p.objective(x) for x in iterates
+        if np.max(np.abs(p.A @ x - p.b), initial=0.0) <= 1e-8
     ]
     scale = 1.0 + max(abs(v) for v in feasible) if feasible else 1.0
     for earlier, later in zip(feasible, feasible[1:]):
@@ -188,3 +202,26 @@ def test_solver_reaches_tolerance_on_svm_shaped_duals():
     s = solve_qp(p, tol=1e-8)
     assert s.kkt_residual <= 1e-8
     assert abs(y @ s.x) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_kkt_solver_matches_dense_solve(m):
+    rng = np.random.default_rng(11 + m)
+    n = 7
+    B = rng.standard_normal((n, n))
+    M = B @ B.T + 0.5 * np.eye(n)
+    A = rng.standard_normal((m, n))
+    full = np.block([[M, -A.T], [A, np.zeros((m, m))]])
+    solve = qp._kkt_solver(M.copy(), A)
+    for _ in range(2):  # one factorization serves every right-hand side
+        f, g = rng.standard_normal(n), rng.standard_normal(m)
+        expected = np.linalg.solve(full, np.concatenate([f, g]))
+        dx, dy = solve(f, g)
+        assert dx.shape == (n,) and dy.shape == (m,)
+        assert np.max(np.abs(dx - expected[:n])) <= 1e-10
+        assert np.max(np.abs(dy - expected[n:]), initial=0.0) <= 1e-10
+
+
+def test_kkt_solver_rejects_an_indefinite_matrix():
+    with pytest.raises(np.linalg.LinAlgError):
+        qp._kkt_solver(np.diag([1.0, -1.0]), np.zeros((0, 2)))

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from lupicp.kernels import KernelSpec, gram_matrix
-from lupicp.svm import BLOCK_ENTRIES, DecisionModel, SvmConfig, svm_train
+from lupicp.svm import BLOCK_ENTRIES, DecisionModel, SvmConfig, sign_labels, svm_train
 from conftest import two_blobs
 from oracles import qp_reference_solution
 
@@ -23,22 +23,22 @@ def test_two_point_closed_form(two_point_model):
     m = two_point_model
     assert np.max(np.abs(np.abs(m.weights) - TWO_POINT_ALPHA)) < 1e-6
     assert m.bias == pytest.approx(0.0, abs=1e-6)
-    assert m.decision_value([1.0]) == pytest.approx(0.0, abs=1e-6)
+    assert m.decision_values(np.array([[1.0]]))[0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_margin_equality_at_free_support_vector(two_point_model):
-    assert two_point_model.decision_value([2.0]) == pytest.approx(1.0, abs=1e-6)
-    assert two_point_model.decision_value([0.0]) == pytest.approx(-1.0, abs=1e-6)
+    values = two_point_model.decision_values(np.array([[2.0], [0.0]]))
+    assert values == pytest.approx([1.0, -1.0], abs=1e-6)
 
 
 def test_duplicated_points_leave_decision_unchanged(two_point_model):
     X = np.array([[0.0], [2.0], [0.0], [2.0]])
     y = np.array([-1, 1, -1, 1])
     m = svm_train(X, y, SvmConfig(C=10.0, kernel=KernelSpec(gamma=0.25)))
-    for x in ([0.0], [0.7], [1.0], [2.0], [3.5]):
-        assert m.decision_value(x) == pytest.approx(
-            two_point_model.decision_value(x), abs=1e-6
-        )
+    probe = np.array([[0.0], [0.7], [1.0], [2.0], [3.5]])
+    assert m.decision_values(probe) == pytest.approx(
+        two_point_model.decision_values(probe), abs=1e-6
+    )
 
 
 def test_dual_matches_reference_oracle_on_six_points():
@@ -129,11 +129,13 @@ def test_tie_rule_and_sign_mapping():
         bias=0.0,
         kernel=KernelSpec(1.0),
     )
-    assert model.predict_label([1.0, 1.0]) == 1  # exact zero -> +1
+    row = np.array([[1.0, 1.0]])
+    assert sign_labels(model.decision_values(row)).tolist() == [1]  # exact zero -> +1
     model.bias = 0.7
-    assert model.predict_label([0.0, 0.0]) == 1
+    assert sign_labels(model.decision_values(row)).tolist() == [1]
     model.bias = -0.7
-    assert model.predict_label([0.0, 0.0]) == -1
+    assert sign_labels(model.decision_values(row)).tolist() == [-1]
+    assert sign_labels([-0.0, 0.0, -1e-300, 2.5]).tolist() == [1, 1, -1, 1]
 
 
 def test_zero_weight_model_returns_bias():
@@ -143,14 +145,14 @@ def test_zero_weight_model_returns_bias():
         bias=0.25,
         kernel=KernelSpec(1.0),
     )
-    assert model.decision_value([1.0, 2.0, 3.0]) == 0.25
+    assert model.decision_values(np.array([[1.0, 2.0, 3.0]])).tolist() == [0.25]
 
 
 def test_decision_dimension_mismatch():
     X, y = two_blobs(10, seed=7)
     m = svm_train(X, y, SvmConfig(C=1.0, kernel=KernelSpec(0.5)))
-    with pytest.raises(ValueError):
-        m.decision_value([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="feature dimension mismatch: 3 vs 2"):
+        m.decision_values(np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_config_validation():

@@ -81,12 +81,13 @@ def test_decision_matches_dense_loop():
     X, Xstar, y = random_instance(4, n=6)
     cfg = unit_config(C=1.5, gamma_plus=0.5)
     m = svmplus_train(X, Xstar, y, cfg)
+    values = m.decision_values(X)
     for i in range(6):
         expected = sum(
             m.alpha[j] * y[j] * np.exp(-np.sum((X[j] - X[i]) ** 2))
             for j in range(6)
         ) + m.bias
-        assert m.decision_value(X[i]) == pytest.approx(expected, abs=1e-10)
+        assert values[i] == pytest.approx(expected, abs=1e-10)
 
 
 def test_label_flip_negates_decision():
@@ -116,10 +117,9 @@ def test_margin_kkt_links_decision_and_correcting_function():
     m = svmplus_train(X, Xstar, y, unit_config())
     support = m.alpha > 1e-6
     assert np.any(support)
-    for i in np.flatnonzero(support):
-        lhs = y[i] * m.decision_value(X[i])
-        rhs = 1.0 - m.correcting_value(Xstar[i])
-        assert lhs == pytest.approx(rhs, abs=1e-4)
+    lhs = y[support] * m.decision_values(X[support])
+    rhs = 1.0 - m.correcting_values(Xstar[support])
+    assert lhs == pytest.approx(rhs, abs=1e-4)
 
 
 def test_correcting_values_nonnegative_at_active_beta():
@@ -138,16 +138,16 @@ def test_zero_delta_model_returns_bias_star():
     X, Xstar, y = random_instance(7)
     m = svmplus_train(X, Xstar, y, unit_config())
     m.deltas = np.zeros_like(m.deltas)
-    assert m.correcting_value(Xstar[0]) == pytest.approx(m.bias_star, abs=1e-12)
+    assert m.correcting_values(Xstar[:1])[0] == pytest.approx(m.bias_star, abs=1e-12)
 
 
 def test_prediction_needs_no_privileged_features():
     X, Xstar, y = triplet_blobs(10, seed=10, dim=3, star_dim=7)
     m = svmplus_train(X, Xstar, y, unit_config())
-    probe = np.zeros(3)  # X-dimensional, not X*-dimensional
-    assert isinstance(m.decision_value(probe), float)
-    with pytest.raises(ValueError):
-        m.decision_value(np.zeros(7))
+    probe = np.zeros((1, 3))  # X-dimensional, not X*-dimensional
+    assert m.decision_values(probe).shape == (1,)
+    with pytest.raises(ValueError, match="feature dimension mismatch: 7 vs 3"):
+        m.decision_values(np.zeros((1, 7)))
 
 
 def test_row_count_mismatch_rejected():
