@@ -159,11 +159,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = _load_config(args)
-    for path in cfg.dataset.paths():
-        if path is None or not Path(path).exists():
-            raise FileNotFoundError(f"dataset file not found: {path}")
-    report = run_experiment(cfg)
+    report = run_experiment(_load_config(args))
     print(report.summary_table())
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")

@@ -53,9 +53,6 @@ class CalibrationTable:
     def count(self, label: int) -> int:
         return self.scores_by_class[label].shape[0]
 
-    def is_vacuous(self, label: int) -> bool:
-        return self.count(label) == 0
-
 
 def calibrate(model, X_cal, y_cal) -> CalibrationTable:
     """Score a calibration set through a trained model."""

@@ -29,7 +29,14 @@ from .conformal import (
     pairs_from_decision_values,
     validity_deviation,
 )
-from .dataio import MNIST_LIMIT, TripletDataset, load_feature_file, load_labels, load_mnist_5v8
+from .dataio import (
+    MNIST_LIMIT,
+    DataFormatError,
+    TripletDataset,
+    load_feature_file,
+    load_labels,
+    load_mnist_5v8,
+)
 from .kernels import KernelSpec
 from .selection import (
     GridSpec,
@@ -38,7 +45,8 @@ from .selection import (
     stratified_split,
     tune_three_step,
 )
-from .svm import SvmConfig, sign_labels, svm_train
+from .qp import QpError
+from .svm import SvmConfig, TrainingError, sign_labels, svm_train
 from .svmplus import SvmPlusConfig, svmplus_train
 
 __all__ = [
@@ -95,11 +103,6 @@ class DatasetConfig:
             return TripletDataset(X=X, Xstar=Xstar, y=y)
         raise ValueError(f"unknown dataset kind {self.kind!r}")
 
-    def paths(self):
-        if self.kind == "mnist-idx":
-            return [self.images, self.labels]
-        return [self.x_path, self.xstar_path, self.labels_path]
-
 
 @dataclass
 class ExperimentConfig:
@@ -118,6 +121,8 @@ class ExperimentConfig:
     qp_tol: float = 1e-8
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if not (0.0 < self.train_fraction < 1.0):
@@ -126,6 +131,11 @@ class ExperimentConfig:
             raise ValueError("proper_fraction must lie in (0, 1)")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
+        if not self.epsilon_grid:
+            raise ValueError("epsilon_grid must not be empty")
+        for e in self.epsilon_grid:
+            if not (0.0 < e < 1.0):
+                raise ValueError(f"epsilon_grid values must lie in (0, 1), got {e}")
 
     def echo(self) -> dict:
         return {
@@ -163,6 +173,13 @@ def _grid_from_dict(raw: dict, fallback: GridSpec) -> GridSpec:
 _SCALAR_KEYS = {"seed": int, "repetitions": int, "train_fraction": float,
                 "proper_fraction": float, "cv_folds": int, "qp_tol": float}
 
+# the DatasetConfig paths each dataset kind needs, by their config-file names
+_DATASET_PATHS = {
+    "mnist-idx": {"images": "images", "labels": "labels"},
+    "triplet-files": {"x_path": "x.path", "xstar_path": "xstar.path",
+                      "labels_path": "labels"},
+}
+
 
 def load_config(path) -> ExperimentConfig:
     """Experiment configuration from a JSON file (missing keys default)."""
@@ -178,12 +195,16 @@ def load_config(path) -> ExperimentConfig:
     elif ds["kind"] == "triplet-files":
         fields = {"labels_path": ds.get("labels")}
         for space in ("x", "xstar"):
-            part = ds.get(space, {})
+            part = ds.get(space)
+            part = part if isinstance(part, dict) else {}
             fields[f"{space}_path"] = part.get("path")
             if "format" in part:
                 fields[f"{space}_format"] = part["format"]
     else:
         raise ValueError(f"{path}: unknown dataset kind {ds['kind']!r}")
+    for name, config_name in _DATASET_PATHS[ds["kind"]].items():
+        if not isinstance(fields[name], str):
+            raise DataFormatError(f"dataset section needs a path '{config_name}'", path)
     settings = {key: convert(raw[key]) for key, convert in _SCALAR_KEYS.items()
                 if key in raw}
     if "epsilon_grid" in raw:
@@ -248,26 +269,18 @@ def tune_for_config(cfg: ExperimentConfig, data: TripletDataset) -> dict:
     """Three-step tuning on the proper-training rows; the selected
     parameters of each model with their mean CV accuracy."""
     _, _, proper, _ = split_rows(cfg, data.y)
-    tuned = tune_three_step(
+    selected = tune_three_step(
         data.X[proper], data.Xstar[proper], data.y[proper],
         cfg.grid_svm_x, cfg.grid_svm_xstar, cfg.grid_svmplus,
         k=cfg.cv_folds, seed=_split_seeds(cfg)[1], tol=cfg.qp_tol,
     )
+    x, xstar, plus = (selected[key] for key in MODEL_KEYS)
     logger.info(
         "selected parameters: svm_x=(C=%g, gamma=%g) svm_xstar=(C=%g, gamma=%g) "
         "svmplus=(C=%g, gamma_plus=%g)",
-        tuned.svm_x.C, tuned.svm_x.gamma, tuned.svm_xstar.C, tuned.svm_xstar.gamma,
-        tuned.svmplus.C, tuned.svmplus.gamma,
+        x["C"], x["gamma"], xstar["C"], xstar["gamma"], plus["C"], plus["gamma_plus"],
     )
-    return {
-        "svm_x": {"C": tuned.svm_x.C, "gamma": tuned.svm_x.gamma,
-                  "cv_accuracy": tuned.svm_x.mean_accuracy},
-        "svm_xstar": {"C": tuned.svm_xstar.C, "gamma": tuned.svm_xstar.gamma,
-                      "cv_accuracy": tuned.svm_xstar.mean_accuracy},
-        "svmplus": {"C": tuned.svmplus.C, "gamma_plus": tuned.svmplus.gamma,
-                    "gamma1": tuned.svm_x.gamma, "gamma2": tuned.svm_xstar.gamma,
-                    "cv_accuracy": tuned.svmplus.mean_accuracy},
-    }
+    return selected
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -279,12 +292,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     selected = tune_for_config(cfg, data)
     tuning_seconds = time.perf_counter() - t_tune
 
-    train_idx, test_idx, _, _ = split_rows(cfg, data.y)
-    assert np.intersect1d(train_idx, test_idx).size == 0
-    X_test, Xstar_test, y_test = data.X[test_idx], data.Xstar[test_idx], data.y[test_idx]
-    X_train, Xstar_train, y_train = (
-        data.X[train_idx], data.Xstar[train_idx], data.y[train_idx],
-    )
+    train, test, _, _ = split_rows(cfg, data.y)
+    assert np.intersect1d(train, test).size == 0
 
     per_rep = {key: [] for key in MODEL_KEYS}
     rep_seconds = []
@@ -292,12 +301,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for rep, split_seed in enumerate(_split_seeds(cfg)[2:]):
         t_rep = time.perf_counter()
         try:
-            metrics = _one_repetition(
-                cfg, selected, X_train, Xstar_train, y_train,
-                X_test, Xstar_test, y_test,
-                split_seed=split_seed, test_idx=test_idx, train_idx=train_idx,
-            )
-        except Exception as exc:  # noqa: BLE001 - repetition isolation
+            metrics = _one_repetition(cfg, selected, data, train, test, split_seed)
+        except (TrainingError, QpError) as exc:  # repetition isolation
             logger.warning("repetition %d failed: %s", rep, exc)
             failed.append({"repetition": rep, "error": str(exc)})
             continue
@@ -327,8 +332,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         per_model=per_model,
         counts={
             "total": int(data.n),
-            "train": int(train_idx.shape[0]),
-            "test": int(test_idx.shape[0]),
+            "train": int(train.shape[0]),
+            "test": int(test.shape[0]),
         },
         timings={
             "tuning_seconds": tuning_seconds,
@@ -362,26 +367,29 @@ def decision_features(key, X, Xstar):
     return Xstar if key == "svm_xstar" else X
 
 
-def _one_repetition(cfg, selected, X_train, Xstar_train, y_train,
-                    X_test, Xstar_test, y_test, split_seed, test_idx, train_idx):
-    inner = stratified_split(y_train, cfg.proper_fraction, seed=split_seed)
-    proper, cal = inner.first, inner.second
+def _one_repetition(cfg, selected, data, train, test, split_seed):
+    """Re-split the training rows ``train`` (absolute row indices of
+    ``data``), fit every model on the proper part, calibrate on the rest
+    and score the fixed ``test`` rows."""
+    inner = stratified_split(data.y[train], cfg.proper_fraction, seed=split_seed)
+    proper, cal = train[inner.first], train[inner.second]
     # the external test set must never leak into training or calibration
-    assert np.intersect1d(train_idx[proper], test_idx).size == 0
-    assert np.intersect1d(train_idx[cal], test_idx).size == 0
+    assert np.intersect1d(proper, test).size == 0
+    assert np.intersect1d(cal, test).size == 0
     assert np.intersect1d(proper, cal).size == 0
 
-    X_p, Xs_p, y_p = X_train[proper], Xstar_train[proper], y_train[proper]
+    X_p, Xs_p, y_p = data.X[proper], data.Xstar[proper], data.y[proper]
     models = {
         key: fit_model(key, selected[key], X_p, Xs_p, y_p, cfg.qp_tol)
         for key in MODEL_KEYS
     }
     eps_grid = np.asarray(cfg.epsilon_grid)
-    y_c = y_train[cal]
+    y_c, y_test = data.y[cal], data.y[test]
     metrics = {}
     for key, model in models.items():
-        table = calibrate(model, decision_features(key, X_train, Xstar_train)[cal], y_c)
-        test_values = model.decision_values(decision_features(key, X_test, Xstar_test))
+        features = decision_features(key, data.X, data.Xstar)
+        table = calibrate(model, features[cal], y_c)
+        test_values = model.decision_values(features[test])
         pvalues = pairs_from_decision_values(table, test_values)
         metrics[key] = {
             "accuracy": accuracy(sign_labels(test_values), y_test),

@@ -21,8 +21,6 @@ from .svmplus import SvmPlusConfig, svmplus_train
 __all__ = [
     "SplitPlan",
     "GridSpec",
-    "GridSearchResult",
-    "ThreeStepResult",
     "SearchError",
     "stratified_split",
     "kfold_indices",
@@ -97,20 +95,6 @@ def default_svmplus_grid() -> GridSpec:
         C_values=(0.01, 0.1, 1.0, 10.0, 100.0),
         gamma_values=(1e-4, 1e-3, 1e-2, 0.1),
     )
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
-    C: float
-    gamma: float
-    mean_accuracy: float
-
-
-@dataclass(frozen=True)
-class ThreeStepResult:
-    svm_x: GridSearchResult
-    svm_xstar: GridSearchResult
-    svmplus: GridSearchResult
 
 
 def _class_counts(y):
@@ -240,8 +224,9 @@ def _cross_validate(y, cache, groups, fit, gamma_name):
 
 
 def grid_search_svm(X, y, grid: GridSpec, k: int, seed: int,
-                    tol: float = 1e-8, cache=None) -> GridSearchResult:
-    """Pick (C, gamma) with the highest mean k-fold validation accuracy.
+                    tol: float = 1e-8, cache=None) -> dict:
+    """Pick (C, gamma) with the highest mean k-fold validation accuracy;
+    returns ``{"C", "gamma", "cv_accuracy"}``.
 
     ``cache`` may pass the fold distance blocks of X already built on
     the folds of (k, seed), as :func:`tune_three_step` does.
@@ -264,13 +249,14 @@ def grid_search_svm(X, y, grid: GridSpec, k: int, seed: int,
             ]
             yield kernels, [(C, gamma) for C in grid.C_values]
 
-    return _pick_best(_cross_validate(y, cache, widths(), fit, "gamma"))
+    return _pick_best(_cross_validate(y, cache, widths(), fit, "gamma"), "gamma")
 
 
 def grid_search_svmplus(X, Xstar, y, grid: GridSpec, gamma1: float, gamma2: float,
                         k: int, seed: int, tol: float = 1e-8,
-                        caches=None) -> GridSearchResult:
-    """Search (C, gamma_plus) with both kernel widths held fixed.
+                        caches=None) -> dict:
+    """Search (C, gamma_plus) with both kernel widths held fixed; returns
+    ``{"C", "gamma_plus", "cv_accuracy"}``.
 
     ``grid.gamma_values`` carries the gamma_plus candidates here.
     ``caches`` may pass the fold distance blocks of X and of X* already
@@ -296,21 +282,21 @@ def grid_search_svmplus(X, Xstar, y, grid: GridSpec, gamma1: float, gamma2: floa
         for f, s in zip(cache, star_cache)
     ]
     cells = [(C, g) for C in grid.C_values for g in grid.gamma_values]
-    return _pick_best(_cross_validate(y, cache, [(kernels, cells)], fit, "gamma_plus"))
+    return _pick_best(_cross_validate(y, cache, [(kernels, cells)], fit, "gamma_plus"),
+                      "gamma_plus")
 
 
-def _pick_best(scores: dict) -> GridSearchResult:
+def _pick_best(scores: dict, gamma_name: str) -> dict:
+    """The best-scoring cell, shaped as a ``selected_parameters`` entry."""
     if not scores:
         raise SearchError("every grid cell failed to train")
-    best_key = min(scores, key=lambda key: (-scores[key], key[0], key[1]))
-    return GridSearchResult(
-        C=best_key[0], gamma=best_key[1], mean_accuracy=scores[best_key]
-    )
+    C, gamma = min(scores, key=lambda key: (-scores[key], key[0], key[1]))
+    return {"C": C, gamma_name: gamma, "cv_accuracy": scores[(C, gamma)]}
 
 
 def tune_three_step(X, Xstar, y, grid_x: GridSpec, grid_xstar: GridSpec,
                     grid_plus: GridSpec, k: int, seed: int,
-                    tol: float = 1e-8) -> ThreeStepResult:
+                    tol: float = 1e-8) -> dict:
     """The three-step protocol.
 
     Step 1 tunes (C1, gamma1) with SVM on X; step 2 tunes (C2, gamma2)
@@ -318,6 +304,10 @@ def tune_three_step(X, Xstar, y, grid_x: GridSpec, grid_xstar: GridSpec,
     kernel widths pinned to gamma1 and gamma2 from the first two steps.
     All three steps share one set of folds, so each fold's distance
     blocks are computed once per feature space.
+
+    Returns the selected parameters keyed ``svm_x``, ``svm_xstar`` and
+    ``svmplus``; the ``svmplus`` entry also carries the pinned widths
+    ``gamma1`` and ``gamma2``.
     """
     grid_x.check_ranges(SVM_PARAMETER_RANGES, "SVM on X grid")
     grid_xstar.check_ranges(SVM_PARAMETER_RANGES, "SVM on X* grid")
@@ -328,9 +318,11 @@ def tune_three_step(X, Xstar, y, grid_x: GridSpec, grid_xstar: GridSpec,
     star_cache = _fold_distance_cache(Xstar, folds)
     step2 = grid_search_svm(Xstar, y, grid_xstar, k=k, seed=seed, tol=tol,
                             cache=star_cache)
+    gamma1, gamma2 = step1["gamma"], step2["gamma"]
     step3 = grid_search_svmplus(
         X, Xstar, y, grid_plus,
-        gamma1=step1.gamma, gamma2=step2.gamma, k=k, seed=seed, tol=tol,
+        gamma1=gamma1, gamma2=gamma2, k=k, seed=seed, tol=tol,
         caches=(cache, star_cache),
     )
-    return ThreeStepResult(svm_x=step1, svm_xstar=step2, svmplus=step3)
+    return {"svm_x": step1, "svm_xstar": step2,
+            "svmplus": {**step3, "gamma1": gamma1, "gamma2": gamma2}}

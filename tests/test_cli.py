@@ -36,6 +36,70 @@ def test_experiment_missing_dataset_path(tmp_path, triplet_files, capsys):
     assert "absent.csv" in err
 
 
+def _config_commands(tmp_path, config):
+    """The commands that read an experiment config, as argument lists."""
+    return [
+        ["tune", "--config", str(config)],
+        ["train", "--config", str(config), "--model", "svm-x", "--cost", "1.0",
+         "--gamma", "0.5", "--out", str(tmp_path / "model.txt")],
+        ["experiment", "--config", str(config)],
+    ]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda ds: ds["x"].pop("path"), "x.path"),
+    (lambda ds: ds.update(x="x.csv"), "x.path"),
+    (lambda ds: ds["xstar"].pop("path"), "xstar.path"),
+    (lambda ds: ds.pop("labels"), "labels"),
+    (lambda ds: ds.update(kind="mnist-idx"), "images"),
+], ids=["no x.path", "x not a section", "no xstar.path", "no labels", "no images"])
+def test_missing_dataset_path_is_a_data_error(tmp_path, triplet_files, capsys,
+                                              edit, field):
+    config = write_experiment_config(tmp_path, triplet_files)
+    raw = json.loads(config.read_text())
+    edit(raw["dataset"])
+    config.write_text(json.dumps(raw))
+    for argv in _config_commands(tmp_path, config):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"lupicp: data error: {config}: dataset section needs a path '{field}'" in err
+    assert not (tmp_path / "model.txt").exists()
+
+
+@pytest.mark.parametrize("file_seed, flags, seed", [
+    (5, ["--seed", "-3"], -3),  # the override is checked like the file's value
+    (-1, [], -1),
+])
+def test_negative_seed_is_named(tmp_path, triplet_files, capsys, file_seed, flags, seed):
+    config = write_experiment_config(tmp_path, triplet_files, seed=file_seed)
+    for argv in _config_commands(tmp_path, config):
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert f"lupicp: error: seed must be a non-negative integer, got {seed}" in err
+        assert "selected parameters" not in err
+
+
+@pytest.mark.parametrize("epsilon_grid", [[0.05, 1.5], []])
+def test_bad_epsilon_grid_stops_before_any_fit(tmp_path, triplet_files, capsys,
+                                               monkeypatch, epsilon_grid):
+    import lupicp.experiment as experiment
+    import lupicp.selection as selection
+
+    fits = []
+    real = selection.svm_train
+
+    def recording(*args, **kwargs):
+        fits.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "svm_train", recording)
+    monkeypatch.setattr(experiment, "svm_train", recording)
+    config = write_experiment_config(tmp_path, triplet_files, epsilon_grid=epsilon_grid)
+    assert main(["experiment", "--config", str(config)]) == 1
+    assert "lupicp: error: epsilon_grid" in capsys.readouterr().err
+    assert fits == []
+
+
 def test_experiment_end_to_end(tmp_path, config_path, capsys):
     out = tmp_path / "report.json"
     code = main([

@@ -62,8 +62,8 @@ def test_mondrian_pvalue_counting(score, expected):
 
 def test_vacuous_class_gives_p_one():
     t = CalibrationTable(scores_by_class={1: [0.1, 0.2]})
-    assert t.is_vacuous(-1)
-    assert not t.is_vacuous(1)
+    assert t.count(-1) == 0
+    assert t.count(1) != 0
     assert pairs_from_decision_values(t, [5.0])[0, 0] == 1.0
 
 

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from lupicp.experiment import (
+    MODEL_KEYS,
     ExperimentConfig,
     DatasetConfig,
+    decision_features,
+    fit_model,
     load_config,
     run_experiment,
+    split_rows,
 )
-from lupicp.selection import GridSpec
+from lupicp.selection import GridSpec, tune_three_step
 from conftest import write_experiment_config
 
 
@@ -128,6 +132,29 @@ def test_config_validation():
         ExperimentConfig(dataset=ds, train_fraction=1.2)
     with pytest.raises(ValueError):
         ExperimentConfig(dataset=ds, cv_folds=1)
+    with pytest.raises(ValueError, match="epsilon_grid must not be empty"):
+        ExperimentConfig(dataset=ds, epsilon_grid=())
+    for bad in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"epsilon_grid values must lie in \(0, 1\)"):
+            ExperimentConfig(dataset=ds, epsilon_grid=(0.05, bad))
+
+
+def test_tuning_returns_the_selected_parameters_shape(triplet_files):
+    # one shape: what tuning returns is what the report holds and what
+    # fit_model takes
+    import lupicp.experiment as experiment
+
+    cfg = small_config(triplet_files, repetitions=1)
+    data = cfg.dataset.load()
+    _, _, proper, _ = split_rows(cfg, data.y)
+    X, Xstar, y = data.X[proper], data.Xstar[proper], data.y[proper]
+    tuned = tune_three_step(X, Xstar, y, cfg.grid_svm_x, cfg.grid_svm_xstar,
+                            cfg.grid_svmplus, k=cfg.cv_folds,
+                            seed=experiment._split_seeds(cfg)[1], tol=cfg.qp_tol)
+    assert tuned == run_experiment(cfg).selected_parameters
+    for key in MODEL_KEYS:
+        model = fit_model(key, tuned[key], X, Xstar, y, cfg.qp_tol)
+        assert model.decision_values(decision_features(key, X, Xstar)).shape == y.shape
 
 
 def test_failed_repetition_is_isolated(triplet_files, monkeypatch):
@@ -160,3 +187,16 @@ def test_mostly_failed_repetitions_abort(triplet_files, monkeypatch):
     monkeypatch.setattr(experiment, "svm_train", always_fails)
     with pytest.raises(ExperimentError):
         run_experiment(small_config(triplet_files, repetitions=2))
+
+
+def test_repetition_defect_is_not_a_failed_repetition(triplet_files, monkeypatch):
+    # only training failures are isolated per repetition; any other error
+    # is a defect and stops the run
+    import lupicp.experiment as experiment
+
+    def broken(*args, **kwargs):
+        raise ValueError("injected defect")
+
+    monkeypatch.setattr(experiment, "svm_train", broken)
+    with pytest.raises(ValueError, match="injected defect"):
+        run_experiment(small_config(triplet_files))

@@ -88,7 +88,7 @@ def test_empty_class_calibration_round_trip(tmp_path):
     path = tmp_path / "cal.txt"
     save_calibration(path, table)
     loaded = load_calibration(path)
-    assert loaded.is_vacuous(-1)
+    assert loaded.count(-1) == 0
     assert loaded.count(1) == 2
 
 

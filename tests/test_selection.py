@@ -116,7 +116,7 @@ def test_single_cell_grid_returns_that_cell():
     X, y = two_blobs(20, seed=0)
     grid = GridSpec(C_values=(2.0,), gamma_values=(0.5,))
     result = grid_search_svm(X, y, grid, k=2, seed=0)
-    assert result.C == 2.0 and result.gamma == 0.5
+    assert result["C"] == 2.0 and result["gamma"] == 0.5
 
 
 def test_duplicate_cells_equal_deduplicated():
@@ -125,14 +125,15 @@ def test_duplicate_cells_equal_deduplicated():
     grid_b = GridSpec(C_values=(1.0, 10.0), gamma_values=(0.5,))
     r_a = grid_search_svm(X, y, grid_a, k=2, seed=3)
     r_b = grid_search_svm(X, y, grid_b, k=2, seed=3)
-    assert (r_a.C, r_a.gamma, r_a.mean_accuracy) == (r_b.C, r_b.gamma, r_b.mean_accuracy)
+    assert (r_a["C"], r_a["gamma"], r_a["cv_accuracy"]) == (
+        r_b["C"], r_b["gamma"], r_b["cv_accuracy"])
 
 
 def test_separable_blobs_reach_full_cv_accuracy():
     X, y = two_blobs(40, seed=2, separation=8.0)
     grid = GridSpec(C_values=(1.0, 10.0), gamma_values=(0.1, 0.5))
     result = grid_search_svm(X, y, grid, k=5, seed=0)
-    assert result.mean_accuracy == 1.0
+    assert result["cv_accuracy"] == 1.0
 
 
 def test_tie_break_prefers_smaller_c_then_gamma():
@@ -140,9 +141,9 @@ def test_tie_break_prefers_smaller_c_then_gamma():
     X, y = two_blobs(24, seed=3, separation=12.0)
     grid = GridSpec(C_values=(10.0, 0.5), gamma_values=(0.9, 0.2))
     result = grid_search_svm(X, y, grid, k=3, seed=0)
-    assert result.mean_accuracy == 1.0
-    assert result.C == 0.5
-    assert result.gamma == 0.2
+    assert result["cv_accuracy"] == 1.0
+    assert result["C"] == 0.5
+    assert result["gamma"] == 0.2
 
 
 def test_three_step_singleton_grids_pass_through():
@@ -154,9 +155,9 @@ def test_three_step_singleton_grids_pass_through():
         GridSpec((1.0,), (0.05,)),
         k=2, seed=0,
     )
-    assert (result.svm_x.C, result.svm_x.gamma) == (2.0, 0.5)
-    assert (result.svm_xstar.C, result.svm_xstar.gamma) == (3.0, 0.25)
-    assert (result.svmplus.C, result.svmplus.gamma) == (1.0, 0.05)
+    assert (result["svm_x"]["C"], result["svm_x"]["gamma"]) == (2.0, 0.5)
+    assert (result["svm_xstar"]["C"], result["svm_xstar"]["gamma"]) == (3.0, 0.25)
+    assert (result["svmplus"]["C"], result["svmplus"]["gamma_plus"]) == (1.0, 0.05)
 
 
 def test_three_step_never_alters_kernel_widths():
@@ -168,9 +169,9 @@ def test_three_step_never_alters_kernel_widths():
         GridSpec((0.5, 1.0), (0.01, 0.1)),
         k=2, seed=1,
     )
-    assert result.svm_x.gamma in (0.3, 0.6)
-    assert result.svm_xstar.gamma in (0.2, 0.4)
-    assert result.svmplus.gamma in (0.01, 0.1)  # gamma_plus, not a kernel width
+    assert result["svm_x"]["gamma"] in (0.3, 0.6)
+    assert result["svm_xstar"]["gamma"] in (0.2, 0.4)
+    assert result["svmplus"]["gamma_plus"] in (0.01, 0.1)  # gamma_plus, not a kernel width
 
 
 def test_three_step_determinism():
@@ -196,8 +197,8 @@ def test_three_step_builds_fold_distances_once(monkeypatch):
     )
     step1 = grid_search_svm(X, y, grids[0], k=3, seed=9)
     step2 = grid_search_svm(Xstar, y, grids[1], k=3, seed=9)
-    step3 = grid_search_svmplus(X, Xstar, y, grids[2], gamma1=step1.gamma,
-                                gamma2=step2.gamma, k=3, seed=9)
+    step3 = grid_search_svmplus(X, Xstar, y, grids[2], gamma1=step1["gamma"],
+                                gamma2=step2["gamma"], k=3, seed=9)
     calls = []
 
     def counted(A, B):
@@ -206,7 +207,9 @@ def test_three_step_builds_fold_distances_once(monkeypatch):
 
     monkeypatch.setattr(selection, "squared_distances", counted)
     result = tune_three_step(X, Xstar, y, *grids, k=3, seed=9)
-    assert (result.svm_x, result.svm_xstar, result.svmplus) == (step1, step2, step3)
+    assert result == {"svm_x": step1, "svm_xstar": step2,
+                      "svmplus": {**step3, "gamma1": step1["gamma"],
+                                  "gamma2": step2["gamma"]}}
     # training and validation blocks, per fold, of X and of X*
     assert len(calls) == 2 * 2 * 3
 
@@ -215,9 +218,9 @@ def test_grid_search_svmplus_runs_with_fixed_widths():
     X, Xstar, y = triplet_blobs(20, seed=7)
     grid = GridSpec((0.5, 2.0), (0.01, 0.1))
     result = grid_search_svmplus(X, Xstar, y, grid, gamma1=0.5, gamma2=0.3, k=2, seed=0)
-    assert result.C in (0.5, 2.0)
-    assert result.gamma in (0.01, 0.1)
-    assert 0.0 <= result.mean_accuracy <= 1.0
+    assert result["C"] in (0.5, 2.0)
+    assert result["gamma_plus"] in (0.01, 0.1)
+    assert 0.0 <= result["cv_accuracy"] <= 1.0
 
 
 def test_selected_cell_cv_accuracy_stable_across_seeds():
@@ -225,7 +228,7 @@ def test_selected_cell_cv_accuracy_stable_across_seeds():
     grid = GridSpec((1.0, 10.0, 100.0), (0.1, 0.5, 1.0))
     r1 = grid_search_svm(X, y, grid, k=5, seed=1)
     r2 = grid_search_svm(X, y, grid, k=5, seed=2)
-    assert abs(r1.mean_accuracy - r2.mean_accuracy) <= 0.02
+    assert abs(r1["cv_accuracy"] - r2["cv_accuracy"]) <= 0.02
 
 
 # the text that perfbench/run.py counts as one failed grid cell
@@ -255,18 +258,18 @@ def test_failed_cell_is_logged_and_left_out(monkeypatch, caplog, trainer, search
 
     def failing(*args, **kwargs):
         cfg = args[3] if trainer == "svmplus_train" else args[2]
-        if cfg.C == best.C:
+        if cfg.C == best["C"]:
             raise TrainingError("injected failure")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(selection, trainer, failing)
     with caplog.at_level(logging.WARNING, logger="lupicp.selection"):
         result = search(X, Xstar, y, grid)
-    assert result.C != best.C and result.C in grid.C_values
+    assert result["C"] != best["C"] and result["C"] in grid.C_values
     failed = [r.getMessage() for r in caplog.records if CELL_FAILED.search(r.getMessage())]
     # the duplicated failing cell is tried and reported once
     assert failed == [
-        f"grid cell C={best.C:g} {gamma_name}=0.1 failed: injected failure"
+        f"grid cell C={best['C']:g} {gamma_name}=0.1 failed: injected failure"
     ]
 
 
