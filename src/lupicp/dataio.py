@@ -180,23 +180,22 @@ def load_mnist_5v8(images_path, labels_path, limit: int = MNIST_LIMIT) -> Triple
     return TripletDataset(X=x, Xstar=xstar, y=y)
 
 
-def load_feature_file(path, format: str = "dense-csv", skip_header: bool = False):
+def load_feature_file(path, format: str = "dense-csv"):
     """Feature matrix from a dense CSV or sparse index:value file."""
     if format == "dense-csv":
-        return _load_dense_csv(path, skip_header)
+        return _load_dense_csv(path)
     if format == "sparse-index-value":
         return _load_sparse(path)
     raise ValueError(f"unknown feature format {format!r}")
 
 
-def _load_dense_csv(path, skip_header: bool) -> np.ndarray:
+def _load_dense_csv(path) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             # an empty result is left to the line reader, which names it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
-            X = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                           skiprows=int(skip_header), encoding="ascii")
+            X = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="ascii")
         if X.shape[0]:
             return X
     except ValueError:  # UnicodeDecodeError too
@@ -204,15 +203,13 @@ def _load_dense_csv(path, skip_header: bool) -> np.ndarray:
     # numpy rejects some input the line reader accepts (blank or
     # whitespace-only lines, digits grouped by "_"), and its errors name
     # no line; the line reader gives the same array or the located error
-    return _read_dense_csv_lines(path, skip_header)
+    return _read_dense_csv_lines(path)
 
 
-def _read_dense_csv_lines(path, skip_header: bool) -> np.ndarray:
+def _read_dense_csv_lines(path) -> np.ndarray:
     rows = []
     width = None
     for lineno, line in _numbered_lines(path):
-        if skip_header and lineno == 1:
-            continue
         line = line.strip()
         if not line:
             continue

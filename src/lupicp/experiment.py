@@ -159,19 +159,44 @@ def _grid_dict(grid: GridSpec) -> dict:
     return {"C": list(grid.C_values), "gamma": list(grid.gamma_values)}
 
 
-def _grid_from_dict(raw: dict, fallback: GridSpec) -> GridSpec:
+def _grid_from_dict(raw, fallback: GridSpec, path, name: str) -> GridSpec:
     if raw is None:
         return fallback
-    return GridSpec(
-        C_values=raw.get("C", fallback.C_values),
-        gamma_values=raw.get("gamma", raw.get("gamma_plus", fallback.gamma_values)),
-    )
+    _require(isinstance(raw, dict), path, name, "an object", raw)
+    gamma_key = "gamma" if "gamma" in raw else "gamma_plus"
+    given = {key: _numbers(raw[key], path, f"{name}.{key}")
+             for key in ("C", gamma_key) if key in raw}
+    return GridSpec(C_values=given.get("C", fallback.C_values),
+                    gamma_values=given.get(gamma_key, fallback.gamma_values))
 
 
-# top-level config keys and their type conversions; absent keys keep
-# the ExperimentConfig defaults
-_SCALAR_KEYS = {"seed": int, "repetitions": int, "train_fraction": float,
-                "proper_fraction": float, "cv_folds": int, "qp_tol": float}
+def _require(ok: bool, path, name: str, kind: str, value) -> None:
+    """A config field of the wrong shape or type names the file and the field."""
+    if not ok:
+        raise DataFormatError(f"'{name}' must be {kind}, got {json.dumps(value)}", path)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value, path, name: str) -> tuple:
+    _require(isinstance(value, list) and all(map(_is_number, value)), path, name,
+             "a list of numbers", value)
+    return tuple(float(v) for v in value)
+
+
+def _scalar(value, integer: bool, path, name: str):
+    """An int from a JSON integer, or a float from any JSON number."""
+    _require(_is_number(value) and (isinstance(value, int) or not integer), path, name,
+             "an integer" if integer else "a number", value)
+    return int(value) if integer else float(value)
+
+
+# top-level scalar config keys, True where a JSON integer is required;
+# absent keys keep the ExperimentConfig defaults
+_SCALAR_KEYS = {"seed": True, "repetitions": True, "train_fraction": False,
+                "proper_fraction": False, "cv_folds": True, "qp_tol": False}
 
 # the DatasetConfig paths each dataset kind needs, by their config-file names
 _DATASET_PATHS = {
@@ -182,16 +207,25 @@ _DATASET_PATHS = {
 
 
 def load_config(path) -> ExperimentConfig:
-    """Experiment configuration from a JSON file (missing keys default)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Experiment configuration from a JSON file (missing keys default).
+
+    A file that is not a JSON object, or a field of the wrong shape or
+    type, is a ``DataFormatError`` that names the file and the field.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise DataFormatError(f"not a JSON config: {exc}", path) from exc
+    if not isinstance(raw, dict):
+        raise DataFormatError("config must be a JSON object", path)
     ds = raw.get("dataset")
     if not isinstance(ds, dict) or "kind" not in ds:
         raise ValueError(f"{path}: config needs a dataset section with a 'kind'")
     if ds["kind"] == "mnist-idx":
         fields = {"images": ds.get("images"), "labels": ds.get("labels")}
         if "limit" in ds:
-            fields["limit"] = int(ds["limit"])
+            fields["limit"] = _scalar(ds["limit"], True, path, "dataset.limit")
     elif ds["kind"] == "triplet-files":
         fields = {"labels_path": ds.get("labels")}
         for space in ("x", "xstar"):
@@ -205,15 +239,17 @@ def load_config(path) -> ExperimentConfig:
     for name, config_name in _DATASET_PATHS[ds["kind"]].items():
         if not isinstance(fields[name], str):
             raise DataFormatError(f"dataset section needs a path '{config_name}'", path)
-    settings = {key: convert(raw[key]) for key, convert in _SCALAR_KEYS.items()
-                if key in raw}
+    settings = {key: _scalar(raw[key], integer, path, key)
+                for key, integer in _SCALAR_KEYS.items() if key in raw}
     if "epsilon_grid" in raw:
-        settings["epsilon_grid"] = tuple(float(e) for e in raw["epsilon_grid"])
+        settings["epsilon_grid"] = _numbers(raw["epsilon_grid"], path, "epsilon_grid")
     grids = raw.get("grids", {})
+    _require(isinstance(grids, dict), path, "grids", "an object", grids)
     defaults = {"svm_x": default_svm_grid, "svm_xstar": default_svm_grid,
                 "svmplus": default_svmplus_grid}
     for key, default in defaults.items():
-        settings[f"grid_{key}"] = _grid_from_dict(grids.get(key), default())
+        settings[f"grid_{key}"] = _grid_from_dict(grids.get(key), default(), path,
+                                                  f"grids.{key}")
     return ExperimentConfig(dataset=DatasetConfig(kind=ds["kind"], **fields), **settings)
 
 

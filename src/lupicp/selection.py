@@ -9,6 +9,7 @@ ties are broken toward the smaller C, then the smaller gamma.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -176,114 +177,101 @@ def kfold_indices(n: int, k: int, y, seed: int) -> list:
     return pairs
 
 
-def _fold_distance_cache(X, folds):
-    """Per-fold squared-distance blocks reused across every gamma."""
-    cache = []
+def _fold_distances(X, folds):
+    """Per-fold (training, validation-by-training) squared-distance
+    blocks of X, reused across every kernel width."""
+    blocks = []
     for train, validate in folds:
         X_tr = X[train]
-        cache.append(
-            {
-                "train": train,
-                "validate": validate,
-                "d_train": squared_distances(X_tr, X_tr),
-                "d_val": squared_distances(X[validate], X_tr),
-            }
-        )
-    return cache
+        blocks.append((squared_distances(X_tr, X_tr),
+                       squared_distances(X[validate], X_tr)))
+    return blocks
 
 
-def _cross_validate(y, cache, groups, fit, gamma_name):
+def _cross_validate(y, folds, cells, fit, gamma_name):
     """Mean k-fold validation accuracy of every distinct grid cell.
 
-    ``groups`` yields, one kernel width at a time, the per-fold kernels
-    (each a tuple whose first two entries are the training Gram and the
-    validation-by-training block) and the (C, gamma) cells scored on
-    them.  ``fit(C, gamma, fold, kernels)`` trains on one fold.  A cell
-    whose training fails on any fold is logged and left out.
+    Fold-major: each fold walks the distinct (C, gamma) ``cells`` in
+    grid order.  ``fit(fold, C, gamma)`` trains on fold ``fold`` and
+    returns the model with its validation-by-training kernel block.  A
+    cell whose training fails on a fold is not fit on the later folds;
+    it is logged after the loop, in cell order, and left out.
     """
-    scores, seen = {}, set()
-    for kernels, cells in groups:
-        for C, gamma in cells:
-            key = (float(C), float(gamma))
-            if key in seen:
+    accs = {(float(C), float(gamma)): [] for C, gamma in cells}
+    failed = {}
+    for fold, (_, validate) in enumerate(folds):
+        for cell in accs:
+            if cell in failed:
                 continue
-            seen.add(key)
-            accs = []
             try:
-                for f, k in zip(cache, kernels):
-                    model = fit(C, gamma, f, k)
-                    vals = k[1][:, model.support_indices] @ model.weights + model.bias
-                    accs.append(np.mean(sign_labels(vals) == y[f["validate"]]))
+                model, k_val = fit(fold, *cell)
             except TrainingError as exc:
-                logger.warning(
-                    "grid cell C=%g %s=%g failed: %s", C, gamma_name, gamma, exc
-                )
+                failed[cell] = str(exc)  # not exc: its traceback holds the fit's arrays
                 continue
-            scores[key] = float(np.mean(accs))
-    return scores
+            vals = k_val[:, model.support_indices] @ model.weights + model.bias
+            accs[cell].append(np.mean(sign_labels(vals) == y[validate]))
+    for C, gamma in accs:
+        if (C, gamma) in failed:
+            logger.warning("grid cell C=%g %s=%g failed: %s",
+                           C, gamma_name, gamma, failed[C, gamma])
+    return {cell: float(np.mean(a)) for cell, a in accs.items() if cell not in failed}
 
 
-def grid_search_svm(X, y, grid: GridSpec, k: int, seed: int,
-                    tol: float = 1e-8, cache=None) -> dict:
+def grid_search_svm(X, y, grid: GridSpec, folds, distances, tol: float = 1e-8) -> dict:
     """Pick (C, gamma) with the highest mean k-fold validation accuracy;
     returns ``{"C", "gamma", "cv_accuracy"}``.
 
-    ``cache`` may pass the fold distance blocks of X already built on
-    the folds of (k, seed), as :func:`tune_three_step` does.
+    ``folds`` are :func:`kfold_indices` pairs and ``distances`` their
+    :func:`_fold_distances` blocks of X.  Cells run width by width, so
+    one fold's kernels of one width are alive at a time.
     """
     y = np.asarray(y)
-    if cache is None:
-        cache = _fold_distance_cache(X, kfold_indices(y.shape[0], k, y, seed))
 
-    def fit(C, gamma, f, kernels):
-        return svm_train(X[f["train"]], y[f["train"]],
-                         SvmConfig(C=C, kernel=KernelSpec(gamma=gamma)),
-                         tol=tol, gram=kernels[0])
+    @functools.lru_cache(maxsize=1)
+    def kernels(fold, gamma):
+        d_train, d_val = distances[fold]
+        return (rbf_from_squared_distances(d_train, gamma),
+                rbf_from_squared_distances(d_val, gamma))
 
-    def widths():
-        for gamma in dict.fromkeys(grid.gamma_values):
-            kernels = [
-                (rbf_from_squared_distances(f["d_train"], gamma),
-                 rbf_from_squared_distances(f["d_val"], gamma))
-                for f in cache
-            ]
-            yield kernels, [(C, gamma) for C in grid.C_values]
+    def fit(fold, C, gamma):
+        train = folds[fold][0]
+        K, K_val = kernels(fold, gamma)
+        cfg = SvmConfig(C=C, kernel=KernelSpec(gamma=gamma))
+        return svm_train(X[train], y[train], cfg, tol=tol, gram=K), K_val
 
-    return _pick_best(_cross_validate(y, cache, widths(), fit, "gamma"), "gamma")
+    cells = [(C, gamma) for gamma in grid.gamma_values for C in grid.C_values]
+    return _pick_best(_cross_validate(y, folds, cells, fit, "gamma"), "gamma")
 
 
 def grid_search_svmplus(X, Xstar, y, grid: GridSpec, gamma1: float, gamma2: float,
-                        k: int, seed: int, tol: float = 1e-8,
-                        caches=None) -> dict:
+                        folds, distances, star_distances, tol: float = 1e-8) -> dict:
     """Search (C, gamma_plus) with both kernel widths held fixed; returns
     ``{"C", "gamma_plus", "cv_accuracy"}``.
 
     ``grid.gamma_values`` carries the gamma_plus candidates here.
-    ``caches`` may pass the fold distance blocks of X and of X* already
-    built on the folds of (k, seed), as :func:`tune_three_step` does.
+    ``distances`` and ``star_distances`` are the :func:`_fold_distances`
+    blocks of X and of X* on ``folds``.
     """
     y = np.asarray(y)
-    if caches is None:
-        folds = kfold_indices(y.shape[0], k, y, seed)
-        caches = (_fold_distance_cache(X, folds), _fold_distance_cache(Xstar, folds))
-    cache, star_cache = caches
 
-    def fit(C, gamma_plus, f, kernels):
+    @functools.lru_cache(maxsize=1)
+    def kernels(fold):
+        (d_train, d_val), (d_star, _) = distances[fold], star_distances[fold]
+        return (rbf_from_squared_distances(d_train, gamma1),
+                rbf_from_squared_distances(d_val, gamma1),
+                rbf_from_squared_distances(d_star, gamma2))
+
+    def fit(fold, C, gamma_plus):
+        train = folds[fold][0]
+        K, K_val, K_star = kernels(fold)
         cfg = SvmPlusConfig(C=C, gamma_plus=gamma_plus,
                             decision_kernel=KernelSpec(gamma=gamma1),
                             correcting_kernel=KernelSpec(gamma=gamma2))
-        return svmplus_train(X[f["train"]], Xstar[f["train"]], y[f["train"]], cfg,
-                             tol=tol, gram=kernels[0], gram_star=kernels[2])
+        return svmplus_train(X[train], Xstar[train], y[train], cfg,
+                             tol=tol, gram=K, gram_star=K_star), K_val
 
-    kernels = [
-        (rbf_from_squared_distances(f["d_train"], gamma1),
-         rbf_from_squared_distances(f["d_val"], gamma1),
-         rbf_from_squared_distances(s["d_train"], gamma2))
-        for f, s in zip(cache, star_cache)
-    ]
     cells = [(C, g) for C in grid.C_values for g in grid.gamma_values]
-    return _pick_best(_cross_validate(y, cache, [(kernels, cells)], fit, "gamma_plus"),
-                      "gamma_plus")
+    return _pick_best(_cross_validate(y, folds, cells, fit, "gamma_plus"), "gamma_plus")
 
 
 def _pick_best(scores: dict, gamma_name: str) -> dict:
@@ -313,16 +301,12 @@ def tune_three_step(X, Xstar, y, grid_x: GridSpec, grid_xstar: GridSpec,
     grid_xstar.check_ranges(SVM_PARAMETER_RANGES, "SVM on X* grid")
     grid_plus.check_ranges(SVMPLUS_PARAMETER_RANGES, "SVM+ grid")
     folds = kfold_indices(len(y), k, y, seed)
-    cache = _fold_distance_cache(X, folds)
-    step1 = grid_search_svm(X, y, grid_x, k=k, seed=seed, tol=tol, cache=cache)
-    star_cache = _fold_distance_cache(Xstar, folds)
-    step2 = grid_search_svm(Xstar, y, grid_xstar, k=k, seed=seed, tol=tol,
-                            cache=star_cache)
+    distances = _fold_distances(X, folds)
+    step1 = grid_search_svm(X, y, grid_x, folds, distances, tol)
+    star_distances = _fold_distances(Xstar, folds)
+    step2 = grid_search_svm(Xstar, y, grid_xstar, folds, star_distances, tol)
     gamma1, gamma2 = step1["gamma"], step2["gamma"]
-    step3 = grid_search_svmplus(
-        X, Xstar, y, grid_plus,
-        gamma1=gamma1, gamma2=gamma2, k=k, seed=seed, tol=tol,
-        caches=(cache, star_cache),
-    )
+    step3 = grid_search_svmplus(X, Xstar, y, grid_plus, gamma1, gamma2,
+                                folds, distances, star_distances, tol)
     return {"svm_x": step1, "svm_xstar": step2,
             "svmplus": {**step3, "gamma1": gamma1, "gamma2": gamma2}}

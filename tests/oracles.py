@@ -311,7 +311,7 @@ def mondrian_pvalue(table, score, hypothesized):
     return (at_or_below + 1) / (len(scores) + 1)
 
 
-def load_dense_csv_lines(path, skip_header=False):
+def load_dense_csv_lines(path):
     """Dense CSV read line by line in text mode, one float() per field.
 
     The reference for ``load_feature_file(path, "dense-csv")``: the same
@@ -323,8 +323,6 @@ def load_dense_csv_lines(path, skip_header=False):
     width = None
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if skip_header and lineno == 1:
-                continue
             line = line.strip()
             if not line:
                 continue

@@ -66,6 +66,44 @@ def test_missing_dataset_path_is_a_data_error(tmp_path, triplet_files, capsys,
     assert not (tmp_path / "model.txt").exists()
 
 
+def _set(**fields):
+    return lambda raw: {**raw, **fields}
+
+
+def _set_grid(key, grid):
+    return lambda raw: {**raw, "grids": {**raw["grids"], key: grid}}
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda raw: [1], "config must be a JSON object"),
+    (lambda raw: "{not json", "not a JSON config"),
+    (_set(grids=[1]), "'grids' must be an object, got [1]"),
+    (_set_grid("svm_x", [1, 2]), "'grids.svm_x' must be an object, got [1, 2]"),
+    (_set_grid("svm_x", {"C": 5, "gamma": [0.5]}),
+     "'grids.svm_x.C' must be a list of numbers, got 5"),
+    (_set_grid("svmplus", {"C": [1.0], "gamma_plus": ["a"]}),
+     "'grids.svmplus.gamma_plus' must be a list of numbers, got [\"a\"]"),
+    (_set(seed=None), "'seed' must be an integer, got null"),
+    (_set(seed=1.5), "'seed' must be an integer, got 1.5"),
+    (_set(repetitions=True), "'repetitions' must be an integer, got true"),
+    (_set(cv_folds="5"), "'cv_folds' must be an integer, got \"5\""),
+    (_set(train_fraction=None), "'train_fraction' must be a number, got null"),
+    (_set(epsilon_grid=0.1), "'epsilon_grid' must be a list of numbers, got 0.1"),
+], ids=["top-level list", "not JSON", "grids list", "grid list", "C scalar",
+        "gamma_plus text", "seed null", "seed 1.5", "repetitions true", "cv_folds text",
+        "train_fraction null", "epsilon_grid scalar"])
+def test_malformed_config_is_a_data_error(tmp_path, triplet_files, capsys, edit, named):
+    config = write_experiment_config(tmp_path, triplet_files)
+    raw = edit(json.loads(config.read_text()))
+    config.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    for argv in _config_commands(tmp_path, config):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"lupicp: data error: {config}: {named}" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "model.txt").exists()
+
+
 @pytest.mark.parametrize("file_seed, flags, seed", [
     (5, ["--seed", "-3"], -3),  # the override is checked like the file's value
     (-1, [], -1),

@@ -115,13 +115,11 @@ def test_dense_csv_basic(tmp_path):
     assert np.array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
 
 
-def test_dense_csv_header_flag(tmp_path):
+def test_dense_csv_header_row_is_a_data_error(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b\n1.0,2.0\n")
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match="m.csv:1"):
         load_feature_file(path, "dense-csv")
-    X = load_feature_file(path, "dense-csv", skip_header=True)
-    assert X.shape == (1, 2)
 
 
 def test_dense_csv_errors_carry_line_numbers(tmp_path):
@@ -142,12 +140,12 @@ def _outcome(load, *args, **kwargs):
         return str(exc)
 
 
-def _assert_parses_like_line_loop(path, skip_header):
+def _assert_parses_like_line_loop(path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _outcome(load_feature_file, path, "dense-csv", skip_header=skip_header)
+        got = _outcome(load_feature_file, path, "dense-csv")
     assert [str(w.message) for w in caught] == []
-    expected = _outcome(load_dense_csv_lines, path, skip_header)
+    expected = _outcome(load_dense_csv_lines, path)
     if isinstance(expected, str):
         assert got == expected
     else:
@@ -180,22 +178,22 @@ CSV_TEXT = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=CSV_TEXT, skip_header=st.booleans())
-def test_dense_csv_parses_like_the_line_loop(tmp_path_factory, text, skip_header):
+@given(text=CSV_TEXT)
+def test_dense_csv_parses_like_the_line_loop(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "parse-equivalence.csv"
     path.write_bytes(text.encode("ascii"))
-    _assert_parses_like_line_loop(path, skip_header)
+    _assert_parses_like_line_loop(path)
 
 
 @pytest.mark.parametrize("text", [
     "", "\n\n\n", "\r\n \r\n", "1,2\n  \t \n3,4\n", "   \n", "1_0,2\n\n3,4\n",
     "a,b\n", "a,b\n\n", "1,2\n3\n",
 ])
-@pytest.mark.parametrize("skip_header", [False, True])
-def test_dense_csv_edge_cases_parse_like_the_line_loop(tmp_path, text, skip_header):
+@pytest.mark.parametrize("crlf", [False, True])
+def test_dense_csv_edge_cases_parse_like_the_line_loop(tmp_path, text, crlf):
     path = tmp_path / "edge.csv"
-    path.write_bytes(text.encode("ascii"))
-    _assert_parses_like_line_loop(path, skip_header)
+    path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode("ascii"))
+    _assert_parses_like_line_loop(path)
 
 
 def test_non_ascii_byte_names_its_line(tmp_path):

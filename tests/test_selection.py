@@ -7,6 +7,7 @@ import pytest
 
 from lupicp.selection import (
     GridSpec,
+    _fold_distances,
     default_svm_grid,
     default_svmplus_grid,
     grid_search_svm,
@@ -18,6 +19,13 @@ from lupicp.selection import (
 from lupicp.kernels import squared_distances
 from lupicp.svm import TrainingError
 from conftest import triplet_blobs, two_blobs
+
+
+def _fold_table(y, k, seed, *spaces):
+    """The folds of (k, seed) and their distance blocks in each of ``spaces``,
+    as the grid searches take them."""
+    folds = kfold_indices(len(y), k, y, seed)
+    return (folds, *(_fold_distances(Z, folds) for Z in spaces))
 
 
 def test_split_exact_proportions():
@@ -115,7 +123,7 @@ def test_default_grids_cover_stated_ranges():
 def test_single_cell_grid_returns_that_cell():
     X, y = two_blobs(20, seed=0)
     grid = GridSpec(C_values=(2.0,), gamma_values=(0.5,))
-    result = grid_search_svm(X, y, grid, k=2, seed=0)
+    result = grid_search_svm(X, y, grid, *_fold_table(y, 2, 0, X))
     assert result["C"] == 2.0 and result["gamma"] == 0.5
 
 
@@ -123,8 +131,9 @@ def test_duplicate_cells_equal_deduplicated():
     X, y = two_blobs(20, seed=1)
     grid_a = GridSpec(C_values=(1.0, 1.0, 10.0), gamma_values=(0.5, 0.5))
     grid_b = GridSpec(C_values=(1.0, 10.0), gamma_values=(0.5,))
-    r_a = grid_search_svm(X, y, grid_a, k=2, seed=3)
-    r_b = grid_search_svm(X, y, grid_b, k=2, seed=3)
+    table = _fold_table(y, 2, 3, X)
+    r_a = grid_search_svm(X, y, grid_a, *table)
+    r_b = grid_search_svm(X, y, grid_b, *table)
     assert (r_a["C"], r_a["gamma"], r_a["cv_accuracy"]) == (
         r_b["C"], r_b["gamma"], r_b["cv_accuracy"])
 
@@ -132,7 +141,7 @@ def test_duplicate_cells_equal_deduplicated():
 def test_separable_blobs_reach_full_cv_accuracy():
     X, y = two_blobs(40, seed=2, separation=8.0)
     grid = GridSpec(C_values=(1.0, 10.0), gamma_values=(0.1, 0.5))
-    result = grid_search_svm(X, y, grid, k=5, seed=0)
+    result = grid_search_svm(X, y, grid, *_fold_table(y, 5, 0, X))
     assert result["cv_accuracy"] == 1.0
 
 
@@ -140,7 +149,7 @@ def test_tie_break_prefers_smaller_c_then_gamma():
     # hugely separated blobs: every cell classifies perfectly
     X, y = two_blobs(24, seed=3, separation=12.0)
     grid = GridSpec(C_values=(10.0, 0.5), gamma_values=(0.9, 0.2))
-    result = grid_search_svm(X, y, grid, k=3, seed=0)
+    result = grid_search_svm(X, y, grid, *_fold_table(y, 3, 0, X))
     assert result["cv_accuracy"] == 1.0
     assert result["C"] == 0.5
     assert result["gamma"] == 0.2
@@ -195,10 +204,11 @@ def test_three_step_builds_fold_distances_once(monkeypatch):
         GridSpec((1.0,), (0.3, 0.6)),
         GridSpec((0.5, 1.0), (0.01, 0.1)),
     )
-    step1 = grid_search_svm(X, y, grids[0], k=3, seed=9)
-    step2 = grid_search_svm(Xstar, y, grids[1], k=3, seed=9)
-    step3 = grid_search_svmplus(X, Xstar, y, grids[2], gamma1=step1["gamma"],
-                                gamma2=step2["gamma"], k=3, seed=9)
+    folds, distances, star_distances = _fold_table(y, 3, 9, X, Xstar)
+    step1 = grid_search_svm(X, y, grids[0], folds, distances)
+    step2 = grid_search_svm(Xstar, y, grids[1], folds, star_distances)
+    step3 = grid_search_svmplus(X, Xstar, y, grids[2], step1["gamma"], step2["gamma"],
+                                folds, distances, star_distances)
     calls = []
 
     def counted(A, B):
@@ -217,7 +227,8 @@ def test_three_step_builds_fold_distances_once(monkeypatch):
 def test_grid_search_svmplus_runs_with_fixed_widths():
     X, Xstar, y = triplet_blobs(20, seed=7)
     grid = GridSpec((0.5, 2.0), (0.01, 0.1))
-    result = grid_search_svmplus(X, Xstar, y, grid, gamma1=0.5, gamma2=0.3, k=2, seed=0)
+    result = grid_search_svmplus(X, Xstar, y, grid, 0.5, 0.3,
+                                 *_fold_table(y, 2, 0, X, Xstar))
     assert result["C"] in (0.5, 2.0)
     assert result["gamma_plus"] in (0.01, 0.1)
     assert 0.0 <= result["cv_accuracy"] <= 1.0
@@ -226,8 +237,8 @@ def test_grid_search_svmplus_runs_with_fixed_widths():
 def test_selected_cell_cv_accuracy_stable_across_seeds():
     X, y = two_blobs(120, seed=8, separation=2.5)
     grid = GridSpec((1.0, 10.0, 100.0), (0.1, 0.5, 1.0))
-    r1 = grid_search_svm(X, y, grid, k=5, seed=1)
-    r2 = grid_search_svm(X, y, grid, k=5, seed=2)
+    r1 = grid_search_svm(X, y, grid, *_fold_table(y, 5, 1, X))
+    r2 = grid_search_svm(X, y, grid, *_fold_table(y, 5, 2, X))
     assert abs(r1["cv_accuracy"] - r2["cv_accuracy"]) <= 0.02
 
 
@@ -236,11 +247,12 @@ CELL_FAILED = re.compile(r"grid cell C=\S+ gamma(?:_plus)?=\S+ failed")
 
 
 def _search_svm(X, Xstar, y, grid):
-    return grid_search_svm(X, y, grid, k=3, seed=0)
+    return grid_search_svm(X, y, grid, *_fold_table(y, 3, 0, X))
 
 
 def _search_svmplus(X, Xstar, y, grid):
-    return grid_search_svmplus(X, Xstar, y, grid, gamma1=0.5, gamma2=0.3, k=3, seed=0)
+    return grid_search_svmplus(X, Xstar, y, grid, 0.5, 0.3,
+                               *_fold_table(y, 3, 0, X, Xstar))
 
 
 @pytest.mark.parametrize("trainer, search, gamma_name", [
@@ -306,3 +318,90 @@ def test_three_step_fits_each_distinct_cell_once_per_fold(monkeypatch):
     })
     assert len(expected) == 4 + 2 + 4
     assert fits == expected
+
+
+def _counting_rbf(monkeypatch):
+    import lupicp.selection as selection
+
+    calls = []
+    real = selection.rbf_from_squared_distances
+
+    def counted(d, gamma):
+        calls.append((id(d), gamma))  # the fold's distance block stays alive
+        return real(d, gamma)
+
+    monkeypatch.setattr(selection, "rbf_from_squared_distances", counted)
+    return calls
+
+
+def test_svm_search_builds_each_fold_width_kernel_once(monkeypatch):
+    X, y = two_blobs(30, seed=13, separation=3.0)
+    k = 3
+    grid = default_svm_grid()
+    table = _fold_table(y, k, 0, X)
+    calls = _counting_rbf(monkeypatch)
+    grid_search_svm(X, y, grid, *table)
+    # the training and validation kernels of every (fold, width) pair
+    assert len(calls) == 2 * len(set(grid.gamma_values)) * k
+    assert len(set(calls)) == len(calls)
+
+
+def test_svmplus_search_builds_each_fold_kernel_once(monkeypatch):
+    X, Xstar, y = triplet_blobs(30, seed=14)
+    k = 3
+    table = _fold_table(y, k, 0, X, Xstar)
+    calls = _counting_rbf(monkeypatch)
+    grid_search_svmplus(X, Xstar, y, GridSpec((0.5, 2.0), (0.01, 0.1)), 0.5, 0.3, *table)
+    # the training and validation kernels of X and the training kernel of X*
+    assert len(calls) == 3 * k
+
+
+def _failing_svm(monkeypatch, fails):
+    """Patch svm_train so that the cell of cost C fails on its fit number
+    ``fails[C]`` (0-based, so the fold number); returns the fit counter."""
+    import lupicp.selection as selection
+
+    fits = Counter()
+    real = selection.svm_train
+
+    def fit(*args, **kwargs):
+        C = args[2].C
+        fits[C] += 1
+        if fails.get(C) == fits[C] - 1:
+            raise TrainingError(f"injected failure on fold {fits[C] - 1}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "svm_train", fit)
+    return fits
+
+
+def _logged_failures(caplog):
+    return [r.getMessage() for r in caplog.records if CELL_FAILED.search(r.getMessage())]
+
+
+def test_cell_failing_on_a_fold_skips_its_later_folds(monkeypatch, caplog):
+    X, y = two_blobs(30, seed=15, separation=4.0)
+    grid = GridSpec((0.5, 2.0, 8.0), (0.1,))
+    table = _fold_table(y, 3, 0, X)
+    fits = _failing_svm(monkeypatch, {2.0: 1})
+    with caplog.at_level(logging.WARNING, logger="lupicp.selection"):
+        result = grid_search_svm(X, y, grid, *table)
+    assert result["C"] in (0.5, 8.0)
+    assert fits == Counter({0.5: 3, 2.0: 2, 8.0: 3})
+    assert _logged_failures(caplog) == [
+        "grid cell C=2 gamma=0.1 failed: injected failure on fold 1"]
+
+
+def test_failed_cells_are_logged_in_cell_order(monkeypatch, caplog):
+    X, y = two_blobs(30, seed=15, separation=4.0)
+    grid = GridSpec((0.5, 2.0, 8.0), (0.1,))
+    table = _fold_table(y, 3, 0, X)
+    # the later cell fails first: on fold 0, before the earlier cell's fold 1
+    _failing_svm(monkeypatch, {0.5: 1, 8.0: 0})
+    with caplog.at_level(logging.WARNING, logger="lupicp.selection"):
+        result = grid_search_svm(X, y, grid, *table)
+    assert result["C"] == 2.0
+    assert _logged_failures(caplog) == [
+        "grid cell C=0.5 gamma=0.1 failed: injected failure on fold 1",
+        "grid cell C=8 gamma=0.1 failed: injected failure on fold 0",
+    ]
