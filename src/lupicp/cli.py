@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .conformal import pairs_from_decision_values, predict_region
-from .dataio import MNIST_LIMIT, DataFormatError, load_feature_file, write_feature_file, write_labels
+from .dataio import FEATURE_FORMATS, MNIST_LIMIT, DataFormatError, load_feature_file, write_feature_file, write_labels
 from .experiment import ExperimentError, decision_features, fit_model, load_config, run_experiment, split_rows, tune_for_config
 from .model_io import load_calibration, load_model, save_calibration, save_model
 from .qp import QpError
@@ -63,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--input", required=True, help="feature file to score")
-    p.add_argument("--format", default="dense-csv",
-                   choices=["dense-csv", "sparse-index-value"])
+    p.add_argument("--format", default="dense-csv", choices=FEATURE_FORMATS)
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--out", help="write output here instead of stdout")
 

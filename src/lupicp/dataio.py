@@ -33,6 +33,7 @@ __all__ = [
     "write_idx_images",
     "write_idx_labels",
     "area_downscale",
+    "FEATURE_FORMATS",
     "load_feature_file",
     "write_feature_file",
     "load_labels",
@@ -178,6 +179,9 @@ def load_mnist_5v8(images_path, labels_path, limit: int = MNIST_LIMIT) -> Triple
     x = area_downscale(scaled).reshape(keep.shape[0], -1)
     y = np.array([DIGIT_LABELS[int(d)] for d in digits[keep]])
     return TripletDataset(X=x, Xstar=xstar, y=y)
+
+
+FEATURE_FORMATS = ("dense-csv", "sparse-index-value")
 
 
 def load_feature_file(path, format: str = "dense-csv"):

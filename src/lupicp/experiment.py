@@ -30,6 +30,7 @@ from .conformal import (
     validity_deviation,
 )
 from .dataio import (
+    FEATURE_FORMATS,
     MNIST_LIMIT,
     DataFormatError,
     TripletDataset,
@@ -131,6 +132,8 @@ class ExperimentConfig:
             raise ValueError("proper_fraction must lie in (0, 1)")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
+        if not (np.isfinite(self.qp_tol) and self.qp_tol > 0):
+            raise ValueError(f"qp_tol must be a finite positive number, got {self.qp_tol}")
         if not self.epsilon_grid:
             raise ValueError("epsilon_grid must not be empty")
         for e in self.epsilon_grid:
@@ -219,9 +222,11 @@ def load_config(path) -> ExperimentConfig:
         raise DataFormatError(f"not a JSON config: {exc}", path) from exc
     if not isinstance(raw, dict):
         raise DataFormatError("config must be a JSON object", path)
-    ds = raw.get("dataset")
-    if not isinstance(ds, dict) or "kind" not in ds:
+    ds = raw.get("dataset", {})
+    _require(isinstance(ds, dict), path, "dataset", "an object", ds)
+    if "kind" not in ds:
         raise ValueError(f"{path}: config needs a dataset section with a 'kind'")
+    _require(isinstance(ds["kind"], str), path, "dataset.kind", "a string", ds["kind"])
     if ds["kind"] == "mnist-idx":
         fields = {"images": ds.get("images"), "labels": ds.get("labels")}
         if "limit" in ds:
@@ -233,7 +238,13 @@ def load_config(path) -> ExperimentConfig:
             part = part if isinstance(part, dict) else {}
             fields[f"{space}_path"] = part.get("path")
             if "format" in part:
-                fields[f"{space}_format"] = part["format"]
+                fmt = part["format"]
+                _require(isinstance(fmt, str), path, f"dataset.{space}.format",
+                         "a string", fmt)
+                if fmt not in FEATURE_FORMATS:
+                    raise ValueError(f"{path}: unknown feature format {fmt!r} "
+                                     f"in 'dataset.{space}.format'")
+                fields[f"{space}_format"] = fmt
     else:
         raise ValueError(f"{path}: unknown dataset kind {ds['kind']!r}")
     for name, config_name in _DATASET_PATHS[ds["kind"]].items():

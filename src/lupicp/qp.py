@@ -22,11 +22,19 @@ the dual residual depends on x through Qx).  So while the residual has
 not improved for STALL_ITERATIONS iterations, the step is a plain
 centred Newton step (sigma = STALL_SIGMA) with one length for both.
 
+The iteration starts on the equality set: mid-box (or one above the
+lower bound where there is no upper one), moved by the least-norm
+correction onto ``A x = b`` when that stays strictly inside the bounds.
+
 A tolerance on the KKT residual bounds x only loosely near a bound (a
 slack of 1e-6 against a multiplier of 1e-3 passes a 1e-8 tolerance), so
 the interior-point answer is polished: the bounds it shows as active are
 fixed and the remaining equality-constrained QP is solved directly.  The
 polished point replaces the interior one only when its residual is lower.
+The loop also crosses over to the polish early: once two successive
+iterates show the same active bounds, and that guess has not been tried,
+it polishes the current iterate and returns the result if it meets the
+tolerance.  The certificate is the same KKT residual either way.
 
 There is no phase one, because both duals are feasible by construction.
 An infeasible or degenerate problem ends in :class:`QpNonConvergenceError`,
@@ -197,9 +205,28 @@ def kkt_residual(p: QpProblem, x, multipliers=()) -> float:
     return float(_residual_terms(p, x, multipliers))
 
 
-def _start_point(lower, upper):
-    """Mid-box where the upper bound is finite, else one above the lower."""
-    return np.where(np.isfinite(upper), 0.5 * (lower + upper), lower + 1.0)
+def _start_point(p: QpProblem):
+    """Mid-box where the upper bound is finite, else one above the lower,
+    moved by the least-norm correction onto ``A x = b`` when that stays
+    strictly inside the bounds."""
+    x = np.where(np.isfinite(p.upper), 0.5 * (p.lower + p.upper), p.lower + 1.0)
+    if p.A.shape[0]:
+        moved = x + p.A.T @ np.linalg.solve(p.A @ p.A.T, p.b - p.A @ x)
+        if np.all(moved > p.lower) and np.all(moved < p.upper):
+            return moved
+    return x
+
+
+def _active_guess(p: QpProblem, x, y, Qx):
+    """The bounds that look active at (x, y): (at_lower, at_upper).
+
+    A bound counts as active where the projected gradient's multiplier
+    exceeds the slack, the usual interior-point indicator.
+    """
+    g = Qx + p.c - p.A.T @ y
+    at_lower = (g > 0) & (x - p.lower < g)
+    at_upper = np.isfinite(p.upper) & (g < 0) & (p.upper - x < -g)
+    return at_lower, at_upper
 
 
 def _max_step(v, dv):
@@ -235,10 +262,10 @@ def _kkt_solver(M, A):
 
 
 def _ipm(p: QpProblem, tol, max_iter):
-    """Predictor-corrector loop.
+    """Predictor-corrector loop with a crossover to :func:`_polish`.
 
-    Returns (x, y, iterations, residual, stop reason) for the best
-    iterate seen.
+    Returns (x, y, residual, iterations, stop reason): the first point
+    that meets ``tol``, else the best iterate seen, polished.
     """
     Q, c, A, b, lower, upper = p.Q, p.c, p.A, p.b, p.lower, p.upper
     n = c.shape[0]
@@ -247,12 +274,13 @@ def _ipm(p: QpProblem, tol, max_iter):
     diag_idx = np.arange(n)
     m_work = np.empty_like(Q)  # reused per iteration; potrf overwrites it
 
-    x = _start_point(lower, upper)
+    x = _start_point(p)
     y = np.zeros(A.shape[0])
     zl = np.ones(n)
     zu = np.where(finite_u, 1.0, 0.0)
 
     best = None
+    previous, polished = None, set()  # active-set guesses, as bytes
     reason = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
@@ -263,8 +291,18 @@ def _ipm(p: QpProblem, tol, max_iter):
         mu = float(np.sum(sl * zl) + np.sum(su[finite_u] * zu[finite_u])) / n_pairs
         if best is None or res < best[-1]:
             best = (x.copy(), y.copy(), it - 1, res)
+        guess = _active_guess(p, x, y, Qx)
         if res <= tol:
-            return x, y, it - 1, res, "converged"
+            return (*_polish(p, x, y, res, *guess), it - 1, "converged")
+
+        # cross over once the active-set guess repeats, unless already tried
+        key = guess[0].tobytes() + guess[1].tobytes()
+        if key == previous and key not in polished:
+            polished.add(key)
+            x_p, y_p, res_p = _polish(p, x, y, res, *guess)
+            if res_p <= tol:
+                return x_p, y_p, res_p, it - 1, "converged"
+        previous = key
 
         # slacks can collapse to zero at float precision near the solution
         if np.any(sl <= 0.0) or np.any(su[finite_u] <= 0.0):
@@ -335,24 +373,21 @@ def _ipm(p: QpProblem, tol, max_iter):
     res_now = _residual_terms(p, x, y)
     if res_now < res_b:
         x_b, y_b, it_b, res_b = x, y, it, res_now
-    return x_b, y_b, it_b, res_b, reason
+    guess = _active_guess(p, x_b, y_b, Q @ x_b)
+    return (*_polish(p, x_b, y_b, res_b, *guess), it_b, reason)
 
 
-def _polish(p: QpProblem, x, y, res, max_rounds=10):
-    """Re-solve with the apparently active bounds fixed: (x, y, residual).
+def _polish(p: QpProblem, x, y, res, at_lower, at_upper, max_rounds=10):
+    """Re-solve with the guessed active bounds fixed: (x, y, residual).
 
-    A bound counts as active where the projected gradient's multiplier
-    exceeds the slack, the usual interior-point indicator.  That guess
-    can be wrong for a variable that sits near a bound with a near-zero
-    multiplier, so each round also fixes free variables that crossed a
-    bound and frees fixed ones whose multiplier has the wrong sign, until
-    the set stops changing.  Returns the inputs unchanged when a reduced
-    system is singular or the result has no lower residual.
+    The guess (:func:`_active_guess`) can be wrong for a variable that
+    sits near a bound with a near-zero multiplier, so each round also
+    fixes free variables that crossed a bound and frees fixed ones whose
+    multiplier has the wrong sign, until the set stops changing.  Returns
+    the inputs unchanged when a reduced system is singular or the result
+    has no lower residual.
     """
     finite_u = np.isfinite(p.upper)
-    g = p.Q @ x + p.c - p.A.T @ y
-    at_lower = (g > 0) & (x - p.lower < g)
-    at_upper = finite_u & (g < 0) & (p.upper - x < -g)
     for _ in range(max_rounds):
         free = ~(at_lower | at_upper)
         fixed = np.where(at_lower, p.lower, np.where(at_upper, p.upper, 0.0))
@@ -401,8 +436,7 @@ def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    x, y, iters, res, reason = _ipm(p, tol=tol, max_iter=max_iter)
-    x, y, res = _polish(p, x, y, res)
+    x, y, res, iters, reason = _ipm(p, tol=tol, max_iter=max_iter)
     solution = QpSolution(
         x=x,
         objective=p.objective(x),

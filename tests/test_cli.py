@@ -74,6 +74,10 @@ def _set_grid(key, grid):
     return lambda raw: {**raw, "grids": {**raw["grids"], key: grid}}
 
 
+def _set_dataset(**fields):
+    return lambda raw: {**raw, "dataset": {**raw["dataset"], **fields}}
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda raw: [1], "config must be a JSON object"),
     (lambda raw: "{not json", "not a JSON config"),
@@ -89,9 +93,16 @@ def _set_grid(key, grid):
     (_set(cv_folds="5"), "'cv_folds' must be an integer, got \"5\""),
     (_set(train_fraction=None), "'train_fraction' must be a number, got null"),
     (_set(epsilon_grid=0.1), "'epsilon_grid' must be a list of numbers, got 0.1"),
+    (_set(dataset=[1]), "'dataset' must be an object, got [1]"),
+    (_set_dataset(kind=["x"]), "'dataset.kind' must be a string, got [\"x\"]"),
+    (_set_dataset(x={"path": "x.csv", "format": 5}),
+     "'dataset.x.format' must be a string, got 5"),
+    (_set_dataset(xstar={"path": "xstar.csv", "format": None}),
+     "'dataset.xstar.format' must be a string, got null"),
 ], ids=["top-level list", "not JSON", "grids list", "grid list", "C scalar",
         "gamma_plus text", "seed null", "seed 1.5", "repetitions true", "cv_folds text",
-        "train_fraction null", "epsilon_grid scalar"])
+        "train_fraction null", "epsilon_grid scalar", "dataset list", "kind list",
+        "x.format number", "xstar.format null"])
 def test_malformed_config_is_a_data_error(tmp_path, triplet_files, capsys, edit, named):
     config = write_experiment_config(tmp_path, triplet_files)
     raw = edit(json.loads(config.read_text()))
@@ -100,6 +111,31 @@ def test_malformed_config_is_a_data_error(tmp_path, triplet_files, capsys, edit,
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"lupicp: data error: {config}: {named}" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "model.txt").exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_set_dataset(x={"path": "absent-x.csv", "format": "csv"}),
+     "unknown feature format 'csv' in 'dataset.x.format'"),
+    (_set_dataset(xstar={"path": "absent-xstar.csv", "format": "sparse"}),
+     "unknown feature format 'sparse' in 'dataset.xstar.format'"),
+    (_set(qp_tol=0), "qp_tol must be a finite positive number, got 0.0"),
+    (_set(qp_tol=-1), "qp_tol must be a finite positive number, got -1.0"),
+    (_set(qp_tol=float("inf")), "qp_tol must be a finite positive number, got inf"),
+    (_set(qp_tol=float("nan")), "qp_tol must be a finite positive number, got nan"),
+], ids=["x.format name", "xstar.format name", "qp_tol 0", "qp_tol -1", "qp_tol inf",
+        "qp_tol nan"])
+def test_bad_config_value_stops_before_any_read(tmp_path, triplet_files, capsys, edit,
+                                                named):
+    # every dataset path names no file: a data read would exit 2
+    absent = {key: tmp_path / f"absent-{key}" for key in triplet_files}
+    config = write_experiment_config(tmp_path, absent)
+    config.write_text(json.dumps(edit(json.loads(config.read_text()))))
+    for argv in _config_commands(tmp_path, config):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert named in err
         assert "Traceback" not in err
     assert not (tmp_path / "model.txt").exists()
 

@@ -4,12 +4,59 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lupicp import qp
+from lupicp.kernels import KernelSpec, gram_matrix
 from lupicp.qp import QpNonConvergenceError, QpProblem, kkt_residual, solve_qp
+from lupicp.svmplus import assemble_dual
+from conftest import triplet_blobs
 from oracles import qp_reference_solution
 
 
 def box_problem(Q, c, equalities, lower, upper):
     return QpProblem.with_equalities(np.asarray(Q, float), c, equalities, lower, upper)
+
+
+def svm_dual(X, y, C, gamma):
+    y = np.asarray(y, dtype=float)
+    K = gram_matrix(X, X, KernelSpec(gamma))
+    return box_problem(K * np.outer(y, y), -np.ones(len(y)), [(y, 0.0)], 0.0, C)
+
+
+def svmplus_dual(X, Xstar, y, C, gamma, gamma_star, gamma_plus):
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    Q, c, _ = assemble_dual(gram_matrix(X, X, KernelSpec(gamma)),
+                            gram_matrix(Xstar, Xstar, KernelSpec(gamma_star)),
+                            y, C, gamma_plus)
+    equalities = [(np.concatenate([y, np.zeros(n)]), 0.0), (np.ones(2 * n), n * C)]
+    return box_problem(Q, c, equalities, 0.0, np.inf)
+
+
+def blob_duals():
+    """An SVM and an SVM+ dual on blob triplets, by name."""
+    X, Xstar, y = triplet_blobs(60, seed=4)
+    return {
+        "svm": svm_dual(X, y, C=10.0, gamma=0.5),
+        "svm+": svmplus_dual(X, Xstar, y, C=1.0, gamma=0.5, gamma_star=0.2,
+                             gamma_plus=0.1),
+    }
+
+
+def record_iterates(p):
+    """Solve ``p``; return the solution and each iterate with its residual."""
+    # the interior-point loop scores each iterate once, passing its Qx
+    iterates = []
+    residual_terms = qp._residual_terms
+
+    def record(problem, x, multipliers, Qx=None):
+        res = residual_terms(problem, x, multipliers, Qx=Qx)
+        if Qx is not None:
+            iterates.append((x.copy(), res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "_residual_terms", record)
+        solution = solve_qp(p)
+    return solution, iterates
 
 
 def random_instance(rng, n, n_eq, spread=2.0):
@@ -147,21 +194,10 @@ def test_validation_rejects_bad_problems():
 def test_monotone_objective_on_feasible_iterates(seed):
     rng = np.random.default_rng(seed)
     p = random_instance(rng, n=int(rng.integers(2, 11)), n_eq=int(rng.integers(0, 3)))
-    # the interior-point loop scores each iterate once, passing its Qx
-    iterates = []
-    residual_terms = qp._residual_terms
-
-    def record(problem, x, multipliers, Qx=None):
-        if Qx is not None:
-            iterates.append(x.copy())
-        return residual_terms(problem, x, multipliers, Qx=Qx)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qp, "_residual_terms", record)
-        solve_qp(p)
+    _, iterates = record_iterates(p)
     assert iterates
     feasible = [
-        p.objective(x) for x in iterates
+        p.objective(x) for x, _ in iterates
         if np.max(np.abs(p.A @ x - p.b), initial=0.0) <= 1e-8
     ]
     scale = 1.0 + max(abs(v) for v in feasible) if feasible else 1.0
@@ -225,3 +261,58 @@ def test_kkt_solver_matches_dense_solve(m):
 def test_kkt_solver_rejects_an_indefinite_matrix():
     with pytest.raises(np.linalg.LinAlgError):
         qp._kkt_solver(np.diag([1.0, -1.0]), np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda X, Xstar, y: svm_dual(X, y, C=1.0, gamma=0.5),
+    lambda X, Xstar, y: svmplus_dual(X, Xstar, y, C=10.0, gamma=0.5, gamma_star=0.2,
+                                     gamma_plus=0.1),
+], ids=["svm", "svm+"])
+def test_first_iterate_lies_on_the_equality_set(make):
+    X, Xstar, y = triplet_blobs(60, seed=12)
+    keep = np.concatenate([np.flatnonzero(y > 0), np.flatnonzero(y < 0)[:15]])
+    y = y[keep]
+    assert y.sum() == 15  # unbalanced: the mid-box start is off the equality set
+    p = make(X[keep], Xstar[keep], y)
+    s, iterates = record_iterates(p)
+    x0 = iterates[0][0]
+    assert np.max(np.abs(p.A @ x0 - p.b)) <= 1e-12 * max(1.0, np.max(np.abs(p.b)))
+    assert np.all(x0 > p.lower) and np.all(x0 < p.upper)
+    assert s.kkt_residual <= 1e-8
+
+
+def test_start_keeps_the_box_centre_when_the_correction_leaves_the_box():
+    # the least-norm move onto x0 + x1 = 9.8 from (0.5, 5) is (2.65, 7.15),
+    # outside 0 <= x0 <= 1
+    p = box_problem(np.eye(2), [1.0, -1.0], [([1.0, 1.0], 9.8)], 0.0, [1.0, 10.0])
+    s, iterates = record_iterates(p)
+    assert np.array_equal(iterates[0][0], [0.5, 5.0])
+    assert s.stop_reason == "converged"
+    assert s.kkt_residual <= 1e-8
+    x_oracle, _ = qp_reference_solution(p.Q, p.c, p.A, p.b, p.lower, p.upper)
+    assert np.max(np.abs(s.x - x_oracle)) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["svm", "svm+"])
+def test_crossover_answer_certifies_with_exact_bounds(name):
+    p = blob_duals()[name]
+    s, iterates = record_iterates(p)
+    # no iterate met the tolerance: the answer came from the polish
+    assert min(res for _, res in iterates) > 1e-8
+    assert s.stop_reason == "converged"
+    assert s.iterations == len(iterates) - 1
+    assert s.kkt_residual <= 1e-8
+    assert s.kkt_residual == kkt_residual(p, s.x, s.eq_multipliers)
+    on_bound = (s.x == p.lower) | (s.x == p.upper)
+    assert on_bound.sum() >= 10
+    # every other coordinate is clearly free, none merely close to a bound
+    gap = np.minimum(s.x - p.lower, p.upper - s.x)[~on_bound]
+    assert np.all(gap > 1e-3)
+
+
+def test_equality_start_and_crossover_each_save_iterations():
+    # 8 iterations before either change, 7 with only the crossover and 8
+    # with only the equality start
+    before = 8
+    s = solve_qp(blob_duals()["svm+"])
+    assert s.iterations <= 6 < before

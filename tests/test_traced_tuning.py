@@ -30,8 +30,10 @@ def test_traced_tune_counts_each_distinct_cell_once_per_fold(tmp_path, triplet_f
     config = write_experiment_config(tmp_path, triplet_files, cv_folds=k, grids=GRIDS)
     spans = tmp_path / "spans.json"
     src = str(PERFBENCH.parent / "src")
+    # one BLAS thread, as the benchmark pins it, so the solver's path is fixed
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), str(spans), "tune",
                     "--config", str(config)],
                    cwd=tmp_path, env=env, check=True, capture_output=True)
@@ -40,3 +42,5 @@ def test_traced_tune_counts_each_distinct_cell_once_per_fold(tmp_path, triplet_f
     assert metrics["selection.cells"] == cells
     assert metrics["selection.fold_fits"] == cells * k
     assert metrics["selection.cells_failed"] == 0
+    # equality start and crossover to the polish: 213 iterations without them
+    assert metrics["qp.iterations"] <= 170
