@@ -129,9 +129,10 @@ class QpProblem:
             raise ValueError(f"b must have shape ({m},), got {self.b.shape}")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bounds must match the variable count")
-        asym = np.max(np.abs(self.Q - self.Q.T)) if n else 0.0
-        if asym > 1e-10:
-            raise ValueError(f"Q is not symmetric: max |Q - Q'| = {asym:.3e}")
+        if not scipy.linalg.issymmetric(self.Q):
+            asym = np.max(np.abs(self.Q - self.Q.T))
+            if asym > 1e-10:
+                raise ValueError(f"Q is not symmetric: max |Q - Q'| = {asym:.3e}")
         if not np.all(np.isfinite(self.lower)):
             raise ValueError("lower bounds must be finite")
         if np.any(self.lower > self.upper):
@@ -241,20 +242,27 @@ def _kkt_solver(M, A):
     """Factor ``M`` (overwritten) and return ``solve(f, g) -> (dx, dy)``
     for the system ``M dx - A'dy = f``, ``A dx = g``.
 
-    ``M`` is eliminated by its Cholesky factor and ``dy`` found from the
-    Schur complement ``A M^-1 A'``, which is built once per factorization
-    and reused by every right-hand side.  Raises ``LinAlgError`` when
-    ``M`` is not numerically positive definite.
+    ``M`` is eliminated by its Cholesky factor, in place when ``M`` is
+    Fortran-ordered, and ``dy`` found from the Schur complement
+    ``A M^-1 A'``.  ``M^-1 A'`` is solved for as extra columns of the
+    first right-hand side, and the Schur complement built from it is
+    reused by every later one.  Raises ``LinAlgError`` when ``M`` is not
+    numerically positive definite.
     """
     factor = scipy.linalg.cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
-    if A.shape[0]:
-        at_solved = scipy.linalg.cho_solve(factor, A.T, check_finite=False)
-        schur = A @ at_solved
+    at_solved = schur = None
 
     def solve(f, g):
-        f_solved = scipy.linalg.cho_solve(factor, f, check_finite=False)
+        nonlocal at_solved, schur
         if not A.shape[0]:
-            return f_solved, np.zeros(0)
+            return scipy.linalg.cho_solve(factor, f, check_finite=False), np.zeros(0)
+        if at_solved is None:
+            both = scipy.linalg.cho_solve(factor, np.column_stack([f, A.T]),
+                                          check_finite=False)
+            f_solved, at_solved = both[:, 0], both[:, 1:]
+            schur = A @ at_solved
+        else:
+            f_solved = scipy.linalg.cho_solve(factor, f, check_finite=False)
         dy = np.linalg.solve(schur, g - A @ f_solved)
         return f_solved + at_solved @ dy, dy
 
@@ -272,7 +280,9 @@ def _ipm(p: QpProblem, tol, max_iter):
     finite_u = np.isfinite(upper)
     n_pairs = n + int(finite_u.sum())
     diag_idx = np.arange(n)
-    m_work = np.empty_like(Q)  # reused per iteration; potrf overwrites it
+    # reused per iteration and factored in place: M is symmetric, so its
+    # transpose is the Fortran-ordered array that LAPACK overwrites
+    m_work = np.empty_like(Q)
 
     x = _start_point(p)
     y = np.zeros(A.shape[0])
@@ -314,7 +324,7 @@ def _ipm(p: QpProblem, tol, max_iter):
         np.copyto(m_work, Q)
         m_work[diag_idx, diag_idx] += d + RIDGE
         try:
-            solve = _kkt_solver(m_work, A)
+            solve = _kkt_solver(m_work.T, A)
         except np.linalg.LinAlgError:
             reason = "factorization failed"
             break
@@ -395,11 +405,14 @@ def _polish(p: QpProblem, x, y, res, at_lower, at_upper, max_rounds=10):
         y_new = y  # kept when no free variable is left to determine it
         if free.any():
             bound = ~free
+            # the bound columns' product first, so that only one block of
+            # Q is copied out at a time
+            q_bound = p.Q[np.ix_(free, bound)] @ fixed[bound]
             Q_ff = p.Q[np.ix_(free, free)]
             Q_ff[np.diag_indices_from(Q_ff)] += RIDGE
-            try:
-                x_f, y_new = _kkt_solver(Q_ff, p.A[:, free])(
-                    -(p.c[free] + p.Q[np.ix_(free, bound)] @ fixed[bound]),
+            try:  # Q_ff is symmetric, so Q_ff.T is it in Fortran order
+                x_f, y_new = _kkt_solver(Q_ff.T, p.A[:, free])(
+                    -(p.c[free] + q_bound),
                     p.b - p.A[:, bound] @ fixed[bound],
                 )
             except np.linalg.LinAlgError:

@@ -189,6 +189,17 @@ def test_validation_rejects_bad_problems():
         solve_qp(box_problem(np.eye(2), np.zeros(2), [], -np.inf, 1.0))
 
 
+@pytest.mark.parametrize("gap, ok", [(0.0, True), (5e-11, True), (2e-10, False)])
+def test_symmetry_check_allows_rounding_only(gap, ok):
+    Q = np.array([[2.0, 0.5], [0.5 + gap, 2.0]])
+    p = box_problem(Q, -np.ones(2), [], 0.0, 1.0)
+    if ok:
+        assert solve_qp(p).kkt_residual <= 1e-8
+    else:
+        with pytest.raises(ValueError, match=r"not symmetric: max \|Q - Q'\| = 2\.000e-10"):
+            solve_qp(p)
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_monotone_objective_on_feasible_iterates(seed):
