@@ -118,8 +118,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     data = cfg.dataset.load()
     _, _, proper, cal = split_rows(cfg, data.y)
-    model = fit_model(key, params, data.X[proper], data.Xstar[proper], data.y[proper],
-                      cfg.qp_tol)
+    model = fit_model(key, params, data.X[proper], data.Xstar[proper], data.y[proper])
     save_model(args.out, model)
     print(f"model written to {args.out}")
     if args.calibration_out:

@@ -30,8 +30,6 @@ __all__ = [
     "load_mnist_5v8",
     "read_idx_images",
     "read_idx_labels",
-    "write_idx_images",
-    "write_idx_labels",
     "area_downscale",
     "FEATURE_FORMATS",
     "load_feature_file",
@@ -118,21 +116,6 @@ def read_idx_labels(path) -> np.ndarray:
             )
         raw = _read_exact(fh, n, path, f"{n} labels")
     return np.frombuffer(raw, dtype=np.uint8)
-
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
 
 
 def _overlap_weights(size_in: int, size_out: int) -> np.ndarray:

@@ -46,7 +46,7 @@ from .selection import (
     stratified_split,
     tune_three_step,
 )
-from .qp import QpError
+from .qp import TOL, QpError
 from .svm import SvmConfig, TrainingError, sign_labels, svm_train
 from .svmplus import SvmPlusConfig, svmplus_train
 
@@ -70,6 +70,9 @@ MODEL_TITLES = {
     "svm_xstar": "SVM on X*",
     "svmplus": "SVM+ on X with X* as PI",
 }
+# the study's stratified splits: train/test, then proper/calibration
+TRAIN_FRACTION = 0.8
+PROPER_FRACTION = 0.7
 
 
 class ExperimentError(Exception):
@@ -110,8 +113,6 @@ class ExperimentConfig:
     dataset: DatasetConfig
     seed: int = 7
     repetitions: int = 10
-    train_fraction: float = 0.8
-    proper_fraction: float = 0.7
     cv_folds: int = 5
     grid_svm_x: GridSpec = field(default_factory=default_svm_grid)
     grid_svm_xstar: GridSpec = field(default_factory=default_svm_grid)
@@ -119,21 +120,14 @@ class ExperimentConfig:
     epsilon_grid: tuple = field(
         default_factory=lambda: tuple(float(e) for e in default_epsilon_grid())
     )
-    qp_tol: float = 1e-8
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ValueError("train_fraction must lie in (0, 1)")
-        if not (0.0 < self.proper_fraction < 1.0):
-            raise ValueError("proper_fraction must lie in (0, 1)")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
-        if not (np.isfinite(self.qp_tol) and self.qp_tol > 0):
-            raise ValueError(f"qp_tol must be a finite positive number, got {self.qp_tol}")
         if not self.epsilon_grid:
             raise ValueError("epsilon_grid must not be empty")
         for e in self.epsilon_grid:
@@ -141,12 +135,13 @@ class ExperimentConfig:
                 raise ValueError(f"epsilon_grid values must lie in (0, 1), got {e}")
 
     def echo(self) -> dict:
+        """The settings the run used, the protocol's constants included."""
         return {
             "dataset": {k: v for k, v in vars(self.dataset).items() if v is not None},
             "seed": self.seed,
             "repetitions": self.repetitions,
-            "train_fraction": self.train_fraction,
-            "proper_fraction": self.proper_fraction,
+            "train_fraction": TRAIN_FRACTION,
+            "proper_fraction": PROPER_FRACTION,
             "cv_folds": self.cv_folds,
             "grids": {
                 "svm_x": _grid_dict(self.grid_svm_x),
@@ -154,7 +149,7 @@ class ExperimentConfig:
                 "svmplus": _grid_dict(self.grid_svmplus),
             },
             "epsilon_grid": list(self.epsilon_grid),
-            "qp_tol": self.qp_tol,
+            "qp_tol": TOL,
         }
 
 
@@ -162,21 +157,31 @@ def _grid_dict(grid: GridSpec) -> dict:
     return {"C": list(grid.C_values), "gamma": list(grid.gamma_values)}
 
 
-def _grid_from_dict(raw, fallback: GridSpec, path, name: str) -> GridSpec:
+def _grid_from_dict(raw, fallback: GridSpec, width: str, path, name: str) -> GridSpec:
+    """A grid from its config entry: ``C`` and the width key ``width``
+    (``gamma``, or ``gamma_plus`` for SVM+), each defaulting to ``fallback``."""
     if raw is None:
         return fallback
     _require(isinstance(raw, dict), path, name, "an object", raw)
-    gamma_key = "gamma" if "gamma" in raw else "gamma_plus"
+    _known(raw, ("C", width), path, f"{name}.")
     given = {key: _numbers(raw[key], path, f"{name}.{key}")
-             for key in ("C", gamma_key) if key in raw}
+             for key in ("C", width) if key in raw}
     return GridSpec(C_values=given.get("C", fallback.C_values),
-                    gamma_values=given.get(gamma_key, fallback.gamma_values))
+                    gamma_values=given.get(width, fallback.gamma_values))
 
 
 def _require(ok: bool, path, name: str, kind: str, value) -> None:
     """A config field of the wrong shape or type names the file and the field."""
     if not ok:
         raise DataFormatError(f"'{name}' must be {kind}, got {json.dumps(value)}", path)
+
+
+def _known(section: dict, keys, path, prefix: str) -> None:
+    """A key outside ``keys`` names the file and the key's path,
+    ``prefix`` followed by the key."""
+    for key in section:
+        if key not in keys:
+            raise DataFormatError(f"unknown key '{prefix}{key}'", path)
 
 
 def _is_number(value) -> bool:
@@ -189,18 +194,22 @@ def _numbers(value, path, name: str) -> tuple:
     return tuple(float(v) for v in value)
 
 
-def _scalar(value, integer: bool, path, name: str):
-    """An int from a JSON integer, or a float from any JSON number."""
-    _require(_is_number(value) and (isinstance(value, int) or not integer), path, name,
-             "an integer" if integer else "a number", value)
-    return int(value) if integer else float(value)
+def _integer(value, path, name: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool), path, name,
+             "an integer", value)
+    return value
 
 
-# top-level scalar config keys, True where a JSON integer is required;
-# absent keys keep the ExperimentConfig defaults
-_SCALAR_KEYS = {"seed": True, "repetitions": True, "train_fraction": False,
-                "proper_fraction": False, "cv_folds": True, "qp_tol": False}
+# top-level integer config keys; absent keys keep the ExperimentConfig defaults
+_INTEGER_KEYS = ("seed", "repetitions", "cv_folds")
+_TOP_KEYS = ("dataset", *_INTEGER_KEYS, "grids", "epsilon_grid")
+# each grid's config key, default and width key
+_GRIDS = {"svm_x": (default_svm_grid, "gamma"), "svm_xstar": (default_svm_grid, "gamma"),
+          "svmplus": (default_svmplus_grid, "gamma_plus")}
 
+# the dataset section's keys for each kind
+_DATASET_KEYS = {"mnist-idx": ("kind", "images", "labels", "limit"),
+                 "triplet-files": ("kind", "x", "xstar", "labels")}
 # the DatasetConfig paths each dataset kind needs, by their config-file names
 _DATASET_PATHS = {
     "mnist-idx": {"images": "images", "labels": "labels"},
@@ -212,8 +221,9 @@ _DATASET_PATHS = {
 def load_config(path) -> ExperimentConfig:
     """Experiment configuration from a JSON file (missing keys default).
 
-    A file that is not a JSON object, or a field of the wrong shape or
-    type, is a ``DataFormatError`` that names the file and the field.
+    A file that is not a JSON object, an unknown key, a missing
+    ``dataset.kind``, or a field of the wrong shape or type, is a
+    ``DataFormatError`` that names the file and the field.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -222,20 +232,26 @@ def load_config(path) -> ExperimentConfig:
         raise DataFormatError(f"not a JSON config: {exc}", path) from exc
     if not isinstance(raw, dict):
         raise DataFormatError("config must be a JSON object", path)
+    _known(raw, _TOP_KEYS, path, "")
     ds = raw.get("dataset", {})
     _require(isinstance(ds, dict), path, "dataset", "an object", ds)
     if "kind" not in ds:
-        raise ValueError(f"{path}: config needs a dataset section with a 'kind'")
-    _require(isinstance(ds["kind"], str), path, "dataset.kind", "a string", ds["kind"])
-    if ds["kind"] == "mnist-idx":
+        raise DataFormatError("config needs 'dataset.kind'", path)
+    kind = ds["kind"]
+    _require(isinstance(kind, str), path, "dataset.kind", "a string", kind)
+    if kind not in _DATASET_KEYS:
+        raise ValueError(f"{path}: unknown dataset kind {kind!r}")
+    _known(ds, _DATASET_KEYS[kind], path, "dataset.")
+    if kind == "mnist-idx":
         fields = {"images": ds.get("images"), "labels": ds.get("labels")}
         if "limit" in ds:
-            fields["limit"] = _scalar(ds["limit"], True, path, "dataset.limit")
-    elif ds["kind"] == "triplet-files":
+            fields["limit"] = _integer(ds["limit"], path, "dataset.limit")
+    else:
         fields = {"labels_path": ds.get("labels")}
         for space in ("x", "xstar"):
             part = ds.get(space)
             part = part if isinstance(part, dict) else {}
+            _known(part, ("path", "format"), path, f"dataset.{space}.")
             fields[f"{space}_path"] = part.get("path")
             if "format" in part:
                 fmt = part["format"]
@@ -245,23 +261,19 @@ def load_config(path) -> ExperimentConfig:
                     raise ValueError(f"{path}: unknown feature format {fmt!r} "
                                      f"in 'dataset.{space}.format'")
                 fields[f"{space}_format"] = fmt
-    else:
-        raise ValueError(f"{path}: unknown dataset kind {ds['kind']!r}")
-    for name, config_name in _DATASET_PATHS[ds["kind"]].items():
+    for name, config_name in _DATASET_PATHS[kind].items():
         if not isinstance(fields[name], str):
             raise DataFormatError(f"dataset section needs a path '{config_name}'", path)
-    settings = {key: _scalar(raw[key], integer, path, key)
-                for key, integer in _SCALAR_KEYS.items() if key in raw}
+    settings = {key: _integer(raw[key], path, key) for key in _INTEGER_KEYS if key in raw}
     if "epsilon_grid" in raw:
         settings["epsilon_grid"] = _numbers(raw["epsilon_grid"], path, "epsilon_grid")
     grids = raw.get("grids", {})
     _require(isinstance(grids, dict), path, "grids", "an object", grids)
-    defaults = {"svm_x": default_svm_grid, "svm_xstar": default_svm_grid,
-                "svmplus": default_svmplus_grid}
-    for key, default in defaults.items():
-        settings[f"grid_{key}"] = _grid_from_dict(grids.get(key), default(), path,
+    _known(grids, _GRIDS, path, "grids.")
+    for key, (default, width) in _GRIDS.items():
+        settings[f"grid_{key}"] = _grid_from_dict(grids.get(key), default(), width, path,
                                                   f"grids.{key}")
-    return ExperimentConfig(dataset=DatasetConfig(kind=ds["kind"], **fields), **settings)
+    return ExperimentConfig(dataset=DatasetConfig(kind=kind, **fields), **settings)
 
 
 @dataclass
@@ -306,8 +318,8 @@ def split_rows(cfg: ExperimentConfig, y):
     calibrates.
     """
     seeds = _split_seeds(cfg)
-    outer = stratified_split(y, cfg.train_fraction, seed=seeds[0])
-    inner = stratified_split(y[outer.first], cfg.proper_fraction, seed=seeds[1])
+    outer = stratified_split(y, TRAIN_FRACTION, seed=seeds[0])
+    inner = stratified_split(y[outer.first], PROPER_FRACTION, seed=seeds[1])
     train = outer.first
     return train, outer.second, train[inner.first], train[inner.second]
 
@@ -319,7 +331,7 @@ def tune_for_config(cfg: ExperimentConfig, data: TripletDataset) -> dict:
     selected = tune_three_step(
         data.X[proper], data.Xstar[proper], data.y[proper],
         cfg.grid_svm_x, cfg.grid_svm_xstar, cfg.grid_svmplus,
-        k=cfg.cv_folds, seed=_split_seeds(cfg)[1], tol=cfg.qp_tol,
+        k=cfg.cv_folds, seed=_split_seeds(cfg)[1],
     )
     x, xstar, plus = (selected[key] for key in MODEL_KEYS)
     logger.info(
@@ -392,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def fit_model(key, params, X, Xstar, y, tol):
+def fit_model(key, params, X, Xstar, y):
     """Train the model that ``key`` (one of MODEL_KEYS) names on the
     training rows (X, X*, y), with ``params`` shaped like that model's
     ``selected_parameters`` entry."""
@@ -403,9 +415,9 @@ def fit_model(key, params, X, Xstar, y, tol):
             decision_kernel=KernelSpec(gamma=params["gamma1"]),
             correcting_kernel=KernelSpec(gamma=params["gamma2"]),
         )
-        return svmplus_train(X, Xstar, y, cfg, tol=tol)
+        return svmplus_train(X, Xstar, y, cfg)
     cfg = SvmConfig(C=params["C"], kernel=KernelSpec(gamma=params["gamma"]))
-    return svm_train(decision_features(key, X, Xstar), y, cfg, tol=tol)
+    return svm_train(decision_features(key, X, Xstar), y, cfg)
 
 
 def decision_features(key, X, Xstar):
@@ -418,7 +430,7 @@ def _one_repetition(cfg, selected, data, train, test, split_seed):
     """Re-split the training rows ``train`` (absolute row indices of
     ``data``), fit every model on the proper part, calibrate on the rest
     and score the fixed ``test`` rows."""
-    inner = stratified_split(data.y[train], cfg.proper_fraction, seed=split_seed)
+    inner = stratified_split(data.y[train], PROPER_FRACTION, seed=split_seed)
     proper, cal = train[inner.first], train[inner.second]
     # the external test set must never leak into training or calibration
     assert np.intersect1d(proper, test).size == 0
@@ -427,8 +439,7 @@ def _one_repetition(cfg, selected, data, train, test, split_seed):
 
     X_p, Xs_p, y_p = data.X[proper], data.Xstar[proper], data.y[proper]
     models = {
-        key: fit_model(key, selected[key], X_p, Xs_p, y_p, cfg.qp_tol)
-        for key in MODEL_KEYS
+        key: fit_model(key, selected[key], X_p, Xs_p, y_p) for key in MODEL_KEYS
     }
     eps_grid = np.asarray(cfg.epsilon_grid)
     y_c, y_test = data.y[cal], data.y[test]

@@ -58,11 +58,15 @@ __all__ = [
     "kkt_residual",
 ]
 
+# the KKT residual at which every SVM and SVM+ dual is certified
+TOL = 1e-8
 RIDGE = 1e-10
 # iterations without a lower residual before the safeguarded step takes over
 STALL_ITERATIONS = 10
 # centring of the safeguarded step
 STALL_SIGMA = 0.1
+# active-set corrections per polish before it gives up
+POLISH_ROUNDS = 10
 
 
 class QpError(Exception):
@@ -387,7 +391,7 @@ def _ipm(p: QpProblem, tol, max_iter):
     return (*_polish(p, x_b, y_b, res_b, *guess), it_b, reason)
 
 
-def _polish(p: QpProblem, x, y, res, at_lower, at_upper, max_rounds=10):
+def _polish(p: QpProblem, x, y, res, at_lower, at_upper):
     """Re-solve with the guessed active bounds fixed: (x, y, residual).
 
     The guess (:func:`_active_guess`) can be wrong for a variable that
@@ -398,7 +402,7 @@ def _polish(p: QpProblem, x, y, res, at_lower, at_upper, max_rounds=10):
     has no lower residual.
     """
     finite_u = np.isfinite(p.upper)
-    for _ in range(max_rounds):
+    for _ in range(POLISH_ROUNDS):
         free = ~(at_lower | at_upper)
         fixed = np.where(at_lower, p.lower, np.where(at_upper, p.upper, 0.0))
         x_new = fixed.copy()
@@ -434,7 +438,7 @@ def _polish(p: QpProblem, x, y, res, at_lower, at_upper, max_rounds=10):
     return x, y, res
 
 
-def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int = 200) -> QpSolution:
+def solve_qp(p: QpProblem, tol: float = TOL, max_iter: int = 200) -> QpSolution:
     """Solve the QP to the requested KKT residual.
 
     Runs no feasibility pre-solve.  Raises ``ValueError`` for a malformed

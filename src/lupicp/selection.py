@@ -217,7 +217,7 @@ def _cross_validate(y, folds, cells, fit, gamma_name):
     return {cell: float(np.mean(a)) for cell, a in accs.items() if cell not in failed}
 
 
-def grid_search_svm(X, y, grid: GridSpec, folds, distances, tol: float = 1e-8) -> dict:
+def grid_search_svm(X, y, grid: GridSpec, folds, distances) -> dict:
     """Pick (C, gamma) with the highest mean k-fold validation accuracy;
     returns ``{"C", "gamma", "cv_accuracy"}``.
 
@@ -237,14 +237,14 @@ def grid_search_svm(X, y, grid: GridSpec, folds, distances, tol: float = 1e-8) -
         train = folds[fold][0]
         K, K_val = kernels(fold, gamma)
         cfg = SvmConfig(C=C, kernel=KernelSpec(gamma=gamma))
-        return svm_train(X[train], y[train], cfg, tol=tol, gram=K), K_val
+        return svm_train(X[train], y[train], cfg, gram=K), K_val
 
     cells = [(C, gamma) for gamma in grid.gamma_values for C in grid.C_values]
     return _pick_best(_cross_validate(y, folds, cells, fit, "gamma"), "gamma")
 
 
 def grid_search_svmplus(X, Xstar, y, grid: GridSpec, gamma1: float, gamma2: float,
-                        folds, distances, star_distances, tol: float = 1e-8) -> dict:
+                        folds, distances, star_distances) -> dict:
     """Search (C, gamma_plus) with both kernel widths held fixed; returns
     ``{"C", "gamma_plus", "cv_accuracy"}``.
 
@@ -268,7 +268,7 @@ def grid_search_svmplus(X, Xstar, y, grid: GridSpec, gamma1: float, gamma2: floa
                             decision_kernel=KernelSpec(gamma=gamma1),
                             correcting_kernel=KernelSpec(gamma=gamma2))
         return svmplus_train(X[train], Xstar[train], y[train], cfg,
-                             tol=tol, gram=K, gram_star=K_star), K_val
+                             gram=K, gram_star=K_star), K_val
 
     cells = [(C, g) for C in grid.C_values for g in grid.gamma_values]
     return _pick_best(_cross_validate(y, folds, cells, fit, "gamma_plus"), "gamma_plus")
@@ -283,8 +283,7 @@ def _pick_best(scores: dict, gamma_name: str) -> dict:
 
 
 def tune_three_step(X, Xstar, y, grid_x: GridSpec, grid_xstar: GridSpec,
-                    grid_plus: GridSpec, k: int, seed: int,
-                    tol: float = 1e-8) -> dict:
+                    grid_plus: GridSpec, k: int, seed: int) -> dict:
     """The three-step protocol.
 
     Step 1 tunes (C1, gamma1) with SVM on X; step 2 tunes (C2, gamma2)
@@ -302,11 +301,11 @@ def tune_three_step(X, Xstar, y, grid_x: GridSpec, grid_xstar: GridSpec,
     grid_plus.check_ranges(SVMPLUS_PARAMETER_RANGES, "SVM+ grid")
     folds = kfold_indices(len(y), k, y, seed)
     distances = _fold_distances(X, folds)
-    step1 = grid_search_svm(X, y, grid_x, folds, distances, tol)
+    step1 = grid_search_svm(X, y, grid_x, folds, distances)
     star_distances = _fold_distances(Xstar, folds)
-    step2 = grid_search_svm(Xstar, y, grid_xstar, folds, star_distances, tol)
+    step2 = grid_search_svm(Xstar, y, grid_xstar, folds, star_distances)
     gamma1, gamma2 = step1["gamma"], step2["gamma"]
     step3 = grid_search_svmplus(X, Xstar, y, grid_plus, gamma1, gamma2,
-                                folds, distances, star_distances, tol)
+                                folds, distances, star_distances)
     return {"svm_x": step1, "svm_xstar": step2,
             "svmplus": {**step3, "gamma1": gamma1, "gamma2": gamma2}}

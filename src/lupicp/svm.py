@@ -133,10 +133,10 @@ def recover_bias(y, scores, alpha, C):
     return float(0.5 * (lo + hi))
 
 
-def solve_or_accept(problem: QpProblem, tol: float, max_iter: int):
+def solve_or_accept(problem: QpProblem):
     """Solve the dual, tolerating slow convergence down to 1e-6 residual."""
     try:
-        return solve_qp(problem, tol=tol, max_iter=max_iter)
+        return solve_qp(problem)
     except QpNonConvergenceError as exc:
         if exc.best.kkt_residual <= ACCEPT_RESIDUAL:
             logger.debug(
@@ -146,8 +146,7 @@ def solve_or_accept(problem: QpProblem, tol: float, max_iter: int):
         raise TrainingError(str(exc)) from exc
 
 
-def svm_train(X, y, cfg: SvmConfig, tol: float = 1e-8, max_iter: int = 200,
-              gram=None) -> DecisionModel:
+def svm_train(X, y, cfg: SvmConfig, gram=None) -> DecisionModel:
     """Train a binary SVM.  ``gram`` may supply a precomputed self-Gram."""
     y = check_labels(y)
     n = X.shape[0]
@@ -162,7 +161,7 @@ def svm_train(X, y, cfg: SvmConfig, tol: float = 1e-8, max_iter: int = 200,
         lower=0.0,
         upper=cfg.C,
     )
-    sol = solve_or_accept(problem, tol=tol, max_iter=max_iter)
+    sol = solve_or_accept(problem)
     alpha = np.clip(sol.x, 0.0, cfg.C)
     weights_full = alpha * y
     scores = K @ weights_full

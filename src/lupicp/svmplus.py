@@ -105,18 +105,8 @@ def assemble_dual(K, Kstar, y, C, gamma_plus):
     return Q, c, constant
 
 
-def dual_objective_direct(K, Kstar, y, C, gamma_plus, alpha, beta) -> float:
-    """Unexpanded SVM+ dual objective (the maximized form)."""
-    delta = alpha + beta - C
-    return float(
-        alpha.sum()
-        - 0.5 * (alpha * y) @ (K @ (alpha * y))
-        - 0.5 / gamma_plus * delta @ (Kstar @ delta)
-    )
-
-
-def svmplus_train(X, Xstar, y, cfg: SvmPlusConfig, tol: float = 1e-8,
-                  max_iter: int = 200, gram=None, gram_star=None) -> SvmPlusModel:
+def svmplus_train(X, Xstar, y, cfg: SvmPlusConfig, gram=None,
+                  gram_star=None) -> SvmPlusModel:
     """Train SVM+ on (X, X*, y) triplets.
 
     ``gram`` / ``gram_star`` may supply precomputed self-Grams for the
@@ -147,7 +137,7 @@ def svmplus_train(X, Xstar, y, cfg: SvmPlusConfig, tol: float = 1e-8,
         lower=0.0,
         upper=np.inf,
     )
-    sol = solve_or_accept(problem, tol=tol, max_iter=max_iter)
+    sol = solve_or_accept(problem)
     alpha = np.maximum(sol.x[:n], 0.0)
     beta = np.maximum(sol.x[n:], 0.0)
     deltas = alpha + beta - cfg.C

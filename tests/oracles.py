@@ -7,11 +7,14 @@ descent whose projection is computed by exact active-set enumeration.
 Both use nothing beyond numpy primitives.  The dense-CSV oracle is the
 plain text-mode line loop that the numpy parser must agree with, and the
 p-value oracle scores one test object by counting, with no binary search.
+The IDX writers make the MNIST-format files that the readers are tested
+on.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 
 import numpy as np
 
@@ -277,13 +280,17 @@ def svmplus_dual_oracle(K, Kstar, y, C, gamma_plus, grad_tol=1e-10,
             break
         v = v_next
     alpha, beta = v[:n], v[n:]
+    return alpha, beta, dual_objective_direct(K, Kstar, y, C, gamma_plus, alpha, beta)
+
+
+def dual_objective_direct(K, Kstar, y, C, gamma_plus, alpha, beta) -> float:
+    """Unexpanded SVM+ dual objective (the maximized form)."""
     delta = alpha + beta - C
-    w = (
+    return float(
         alpha.sum()
         - 0.5 * (alpha * y) @ (K @ (alpha * y))
         - 0.5 / gamma_plus * delta @ (Kstar @ delta)
     )
-    return alpha, beta, float(w)
 
 
 def rbf_gram_loops(X, gamma):
@@ -343,3 +350,20 @@ def load_dense_csv_lines(path):
     if not rows:
         raise DataFormatError("no data rows", path=path)
     return np.asarray(rows)
+
+
+def write_idx_images(path, images) -> None:
+    """An IDX image file (magic 2051) of uint8 (n, rows, cols) images."""
+    images = np.asarray(images, dtype=np.uint8)
+    n, rows, cols = images.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", 2051, n, rows, cols))
+        fh.write(images.tobytes())
+
+
+def write_idx_labels(path, labels) -> None:
+    """An IDX label file (magic 2049) of uint8 labels."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">II", 2049, labels.shape[0]))
+        fh.write(labels.tobytes())

@@ -7,13 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lupicp.cli import main
-from lupicp.dataio import (
-    load_feature_file,
-    write_feature_file,
-    write_idx_images,
-    write_idx_labels,
-)
+from lupicp.dataio import load_feature_file, write_feature_file
 from conftest import triplet_blobs, write_experiment_config
+from oracles import write_idx_images, write_idx_labels
 
 
 @pytest.fixture
@@ -46,12 +42,17 @@ def _config_commands(tmp_path, config):
     ]
 
 
+def _mnist_without_images(ds):
+    del ds["x"], ds["xstar"]
+    ds["kind"] = "mnist-idx"
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda ds: ds["x"].pop("path"), "x.path"),
     (lambda ds: ds.update(x="x.csv"), "x.path"),
     (lambda ds: ds["xstar"].pop("path"), "xstar.path"),
     (lambda ds: ds.pop("labels"), "labels"),
-    (lambda ds: ds.update(kind="mnist-idx"), "images"),
+    (_mnist_without_images, "images"),
 ], ids=["no x.path", "x not a section", "no xstar.path", "no labels", "no images"])
 def test_missing_dataset_path_is_a_data_error(tmp_path, triplet_files, capsys,
                                               edit, field):
@@ -91,7 +92,7 @@ def _set_dataset(**fields):
     (_set(seed=1.5), "'seed' must be an integer, got 1.5"),
     (_set(repetitions=True), "'repetitions' must be an integer, got true"),
     (_set(cv_folds="5"), "'cv_folds' must be an integer, got \"5\""),
-    (_set(train_fraction=None), "'train_fraction' must be a number, got null"),
+    (_set(train_fraction=None), "unknown key 'train_fraction'"),
     (_set(epsilon_grid=0.1), "'epsilon_grid' must be a list of numbers, got 0.1"),
     (_set(dataset=[1]), "'dataset' must be an object, got [1]"),
     (_set_dataset(kind=["x"]), "'dataset.kind' must be a string, got [\"x\"]"),
@@ -99,10 +100,15 @@ def _set_dataset(**fields):
      "'dataset.x.format' must be a string, got 5"),
     (_set_dataset(xstar={"path": "xstar.csv", "format": None}),
      "'dataset.xstar.format' must be a string, got null"),
+    (lambda raw: {key: value for key, value in raw.items() if key != "dataset"},
+     "config needs 'dataset.kind'"),
+    (lambda raw: {**raw, "dataset": {k: v for k, v in raw["dataset"].items()
+                                     if k != "kind"}},
+     "config needs 'dataset.kind'"),
 ], ids=["top-level list", "not JSON", "grids list", "grid list", "C scalar",
         "gamma_plus text", "seed null", "seed 1.5", "repetitions true", "cv_folds text",
         "train_fraction null", "epsilon_grid scalar", "dataset list", "kind list",
-        "x.format number", "xstar.format null"])
+        "x.format number", "xstar.format null", "no dataset", "no kind"])
 def test_malformed_config_is_a_data_error(tmp_path, triplet_files, capsys, edit, named):
     config = write_experiment_config(tmp_path, triplet_files)
     raw = edit(json.loads(config.read_text()))
@@ -115,27 +121,39 @@ def test_malformed_config_is_a_data_error(tmp_path, triplet_files, capsys, edit,
     assert not (tmp_path / "model.txt").exists()
 
 
-@pytest.mark.parametrize("edit, named", [
-    (_set_dataset(x={"path": "absent-x.csv", "format": "csv"}),
+@pytest.mark.parametrize("edit, code, named", [
+    (_set_dataset(x={"path": "absent-x.csv", "format": "csv"}), 1,
      "unknown feature format 'csv' in 'dataset.x.format'"),
-    (_set_dataset(xstar={"path": "absent-xstar.csv", "format": "sparse"}),
+    (_set_dataset(xstar={"path": "absent-xstar.csv", "format": "sparse"}), 1,
      "unknown feature format 'sparse' in 'dataset.xstar.format'"),
-    (_set(qp_tol=0), "qp_tol must be a finite positive number, got 0.0"),
-    (_set(qp_tol=-1), "qp_tol must be a finite positive number, got -1.0"),
-    (_set(qp_tol=float("inf")), "qp_tol must be a finite positive number, got inf"),
-    (_set(qp_tol=float("nan")), "qp_tol must be a finite positive number, got nan"),
-], ids=["x.format name", "xstar.format name", "qp_tol 0", "qp_tol -1", "qp_tol inf",
-        "qp_tol nan"])
+    (_set(qp_tol=0), 2, "unknown key 'qp_tol'"),
+    (_set(train_fraction=0.8), 2, "unknown key 'train_fraction'"),
+    (_set(proper_fraction=0.7), 2, "unknown key 'proper_fraction'"),
+    (_set(repetitons=1), 2, "unknown key 'repetitons'"),
+    (_set_grid("svm_x", {"C": [1.0], "gama": [0.5]}), 2,
+     "unknown key 'grids.svm_x.gama'"),
+    (_set_grid("svm_x", {"C": [1.0], "gamma_plus": [0.5]}), 2,
+     "unknown key 'grids.svm_x.gamma_plus'"),
+    (_set_grid("svmplus", {"gamma": [0.1], "gamma_plus": [0.1]}), 2,
+     "unknown key 'grids.svmplus.gamma'"),
+    (_set_grid("svm_y", {"C": [1.0]}), 2, "unknown key 'grids.svm_y'"),
+    (_set_dataset(xstar={"path": "absent-xstar.csv", "fromat": "dense-csv"}), 2,
+     "unknown key 'dataset.xstar.fromat'"),
+    (_set_dataset(limit=10), 2, "unknown key 'dataset.limit'"),
+], ids=["x.format name", "xstar.format name", "qp_tol 0", "train_fraction 0.8",
+        "proper_fraction 0.7", "repetitons", "svm_x gama", "svm_x gamma_plus",
+        "svmplus gamma", "svm_y grid", "xstar fromat", "triplet-files limit"])
 def test_bad_config_value_stops_before_any_read(tmp_path, triplet_files, capsys, edit,
-                                                named):
-    # every dataset path names no file: a data read would exit 2
+                                                code, named):
+    # every dataset path names no file: a data read would exit 2 with
+    # another message
     absent = {key: tmp_path / f"absent-{key}" for key in triplet_files}
     config = write_experiment_config(tmp_path, absent)
     config.write_text(json.dumps(edit(json.loads(config.read_text()))))
     for argv in _config_commands(tmp_path, config):
-        assert main(argv) == 1
+        assert main(argv) == code
         err = capsys.readouterr().err
-        assert named in err
+        assert f"{config}: {named}" in err
         assert "Traceback" not in err
     assert not (tmp_path / "model.txt").exists()
 
@@ -321,7 +339,7 @@ def test_train_writes_what_fit_model_gives(tmp_path, config_path, capsys,
     data = cfg.dataset.load()
     _, _, proper, cal = split_rows(cfg, data.y)
     expected = fit_model(key, params, data.X[proper], data.Xstar[proper],
-                         data.y[proper], cfg.qp_tol)
+                         data.y[proper])
     save_model(tmp_path / "expected-model.txt", expected)
     # SVM on X* decides, and so calibrates, on the privileged rows
     features = data.Xstar if model == "svm-xstar" else data.X

@@ -17,11 +17,9 @@ from lupicp.dataio import (
     read_idx_images,
     read_idx_labels,
     write_feature_file,
-    write_idx_images,
-    write_idx_labels,
     write_labels,
 )
-from oracles import load_dense_csv_lines
+from oracles import load_dense_csv_lines, write_idx_images, write_idx_labels
 
 
 def synthetic_mnist(tmp_path, digits, n_per=6, seed=0):

@@ -1,11 +1,14 @@
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lupicp.experiment import (
     MODEL_KEYS,
+    PROPER_FRACTION,
+    TRAIN_FRACTION,
     ExperimentConfig,
     DatasetConfig,
     decision_features,
@@ -14,7 +17,12 @@ from lupicp.experiment import (
     run_experiment,
     split_rows,
 )
-from lupicp.selection import GridSpec, tune_three_step
+from lupicp.selection import (
+    GridSpec,
+    default_svm_grid,
+    default_svmplus_grid,
+    tune_three_step,
+)
 from conftest import write_experiment_config
 
 
@@ -118,18 +126,29 @@ def test_config_defaults_applied(tmp_path, triplet_files):
     cfg = load_config(path)
     assert cfg.seed == 7
     assert cfg.repetitions == 10
-    assert cfg.train_fraction == 0.8
-    assert cfg.proper_fraction == 0.7
+    assert TRAIN_FRACTION == 0.8
+    assert PROPER_FRACTION == 0.7
     assert cfg.cv_folds == 5
     assert cfg.grid_svm_x.C_values == (0.1, 1.0, 10.0, 100.0, 1000.0)
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the documented keys are the accepted ones, and the grids it shows the
+    # defaults
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration file", 1)[1]
+    path = tmp_path / "config.json"
+    path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.dataset.xstar_format == "sparse-index-value"
+    assert cfg.grid_svm_x == cfg.grid_svm_xstar == default_svm_grid()
+    assert cfg.grid_svmplus == default_svmplus_grid()
 
 
 def test_config_validation():
     ds = DatasetConfig(kind="triplet-files")
     with pytest.raises(ValueError):
         ExperimentConfig(dataset=ds, repetitions=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(dataset=ds, train_fraction=1.2)
     with pytest.raises(ValueError):
         ExperimentConfig(dataset=ds, cv_folds=1)
     with pytest.raises(ValueError, match="epsilon_grid must not be empty"):
@@ -150,10 +169,10 @@ def test_tuning_returns_the_selected_parameters_shape(triplet_files):
     X, Xstar, y = data.X[proper], data.Xstar[proper], data.y[proper]
     tuned = tune_three_step(X, Xstar, y, cfg.grid_svm_x, cfg.grid_svm_xstar,
                             cfg.grid_svmplus, k=cfg.cv_folds,
-                            seed=experiment._split_seeds(cfg)[1], tol=cfg.qp_tol)
+                            seed=experiment._split_seeds(cfg)[1])
     assert tuned == run_experiment(cfg).selected_parameters
     for key in MODEL_KEYS:
-        model = fit_model(key, tuned[key], X, Xstar, y, cfg.qp_tol)
+        model = fit_model(key, tuned[key], X, Xstar, y)
         assert model.decision_values(decision_features(key, X, Xstar)).shape == y.shape
 
 

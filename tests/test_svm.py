@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -106,12 +107,15 @@ def test_single_class_rejected():
         svm_train(X, np.ones(4), SvmConfig(C=1.0, kernel=KernelSpec(1.0)))
 
 
-def test_unconverged_dual_raises_training_error():
+def test_unconverged_dual_raises_training_error(monkeypatch):
+    import lupicp.svm
+    from lupicp.qp import solve_qp
     from lupicp.svm import TrainingError
 
+    monkeypatch.setattr(lupicp.svm, "solve_qp", functools.partial(solve_qp, max_iter=1))
     X, y = two_blobs(30, seed=8)
     with pytest.raises(TrainingError):
-        svm_train(X, y, SvmConfig(C=1.0, kernel=KernelSpec(0.5)), max_iter=1)
+        svm_train(X, y, SvmConfig(C=1.0, kernel=KernelSpec(0.5)))
 
 
 def test_row_mismatch_rejected():

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from lupicp.kernels import KernelSpec, gram_matrix
-from lupicp.svmplus import (
-    SvmPlusConfig,
-    assemble_dual,
-    dual_objective_direct,
-    svmplus_train,
-)
+from lupicp.svmplus import SvmPlusConfig, assemble_dual, svmplus_train
 from conftest import triplet_blobs
-from oracles import rbf_gram_loops, svmplus_dual_oracle
+from oracles import dual_objective_direct, rbf_gram_loops, svmplus_dual_oracle
 
 
 def unit_config(C=1.0, gamma_plus=1.0):
