@@ -107,6 +107,16 @@ class DatasetConfig:
             return TripletDataset(X=X, Xstar=Xstar, y=y)
         raise ValueError(f"unknown dataset kind {self.kind!r}")
 
+    def echo(self) -> dict:
+        """The ``dataset`` section of a config file that loads this back."""
+        if self.kind == "mnist-idx":
+            return {"kind": self.kind, "images": self.images, "labels": self.labels,
+                    "limit": self.limit}
+        return {"kind": self.kind,
+                "x": {"path": self.x_path, "format": self.x_format},
+                "xstar": {"path": self.xstar_path, "format": self.xstar_format},
+                "labels": self.labels_path}
+
 
 @dataclass
 class ExperimentConfig:
@@ -135,26 +145,25 @@ class ExperimentConfig:
                 raise ValueError(f"epsilon_grid values must lie in (0, 1), got {e}")
 
     def echo(self) -> dict:
-        """The settings the run used, the protocol's constants included."""
+        """The settings the run used, in the shape :func:`load_config` reads."""
         return {
-            "dataset": {k: v for k, v in vars(self.dataset).items() if v is not None},
+            "dataset": self.dataset.echo(),
             "seed": self.seed,
             "repetitions": self.repetitions,
-            "train_fraction": TRAIN_FRACTION,
-            "proper_fraction": PROPER_FRACTION,
             "cv_folds": self.cv_folds,
-            "grids": {
-                "svm_x": _grid_dict(self.grid_svm_x),
-                "svm_xstar": _grid_dict(self.grid_svm_xstar),
-                "svmplus": _grid_dict(self.grid_svmplus),
-            },
+            "grids": {key: _grid_dict(getattr(self, f"grid_{key}"), width)
+                      for key, (_, width) in _GRIDS.items()},
             "epsilon_grid": list(self.epsilon_grid),
-            "qp_tol": TOL,
         }
 
 
-def _grid_dict(grid: GridSpec) -> dict:
-    return {"C": list(grid.C_values), "gamma": list(grid.gamma_values)}
+# the protocol's fixed numbers, which a config cannot set
+PROTOCOL = {"train_fraction": TRAIN_FRACTION, "proper_fraction": PROPER_FRACTION,
+            "qp_tol": TOL}
+
+
+def _grid_dict(grid: GridSpec, width: str) -> dict:
+    return {"C": list(grid.C_values), width: list(grid.gamma_values)}
 
 
 def _grid_from_dict(raw, fallback: GridSpec, width: str, path, name: str) -> GridSpec:
@@ -279,6 +288,7 @@ def load_config(path) -> ExperimentConfig:
 @dataclass
 class ExperimentReport:
     config: dict
+    protocol: dict
     selected_parameters: dict
     per_model: dict
     counts: dict
@@ -387,6 +397,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     report = ExperimentReport(
         config=cfg.echo(),
+        protocol=dict(PROTOCOL),
         selected_parameters=selected,
         per_model=per_model,
         counts={

@@ -219,3 +219,28 @@ def test_repetition_defect_is_not_a_failed_repetition(triplet_files, monkeypatch
     monkeypatch.setattr(experiment, "svm_train", broken)
     with pytest.raises(ValueError, match="injected defect"):
         run_experiment(small_config(triplet_files))
+
+
+@pytest.mark.parametrize("dataset", [
+    DatasetConfig(kind="triplet-files", x_path="x.csv", xstar_path="xstar.txt",
+                  xstar_format="sparse-index-value", labels_path="labels.txt"),
+    DatasetConfig(kind="mnist-idx", images="images.idx", labels="labels.idx", limit=500),
+], ids=["triplet-files", "mnist-idx"])
+def test_echoed_config_loads_back(tmp_path, dataset):
+    cfg = ExperimentConfig(dataset=dataset, seed=3, repetitions=2, cv_folds=4,
+                           grid_svm_x=GridSpec((1.0, 10.0), (0.5,)),
+                           grid_svmplus=GridSpec((0.5,), (0.01, 0.1)),
+                           epsilon_grid=(0.05, 0.1))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.echo()), encoding="utf-8")
+    assert load_config(path) == cfg
+
+
+def test_report_config_loads_back(tmp_path, triplet_files):
+    cfg = small_config(triplet_files, repetitions=1)
+    report = json.loads(run_experiment(cfg).to_json())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(report["config"]), encoding="utf-8")
+    assert load_config(path) == cfg
+    assert report["protocol"] == {"train_fraction": TRAIN_FRACTION,
+                                  "proper_fraction": PROPER_FRACTION, "qp_tol": 1e-8}

@@ -1,4 +1,6 @@
 import logging
+import multiprocessing
+import os
 import re
 from collections import Counter
 
@@ -405,3 +407,130 @@ def test_failed_cells_are_logged_in_cell_order(monkeypatch, caplog):
         "grid cell C=0.5 gamma=0.1 failed: injected failure on fold 1",
         "grid cell C=8 gamma=0.1 failed: injected failure on fold 0",
     ]
+
+
+def _available_cpus(monkeypatch, n):
+    """Let the grid searches see ``n`` available CPUs: one runs a search in
+    this process, more fork that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _patch_solver(monkeypatch, hook):
+    """Call ``hook(C, n)`` before each dual solve of cost C on n training
+    rows.  ``lupicp.svm.solve_qp`` is not a lookup of ``lupicp.selection``,
+    so the searches still fork, and the workers inherit the replacement."""
+    import lupicp.svm as svm
+
+    real = svm.solve_qp
+
+    def solve(problem):
+        if np.isfinite(problem.upper[0]):  # SVM: 0 <= alpha <= C
+            hook(problem.upper[0], problem.n)
+        else:  # SVM+: sum(alpha + beta) = nC over 2n variables
+            n = problem.n // 2
+            hook(problem.b[1] / n, n)
+        return real(problem)
+
+    monkeypatch.setattr(svm, "solve_qp", solve)
+
+
+def _search_svm_k4(X, Xstar, y, grid):
+    return grid_search_svm(X, y, grid, *_fold_table(y, 4, 0, X))
+
+
+def _search_svmplus_k4(X, Xstar, y, grid):
+    return grid_search_svmplus(X, Xstar, y, grid, 0.5, 0.3,
+                               *_fold_table(y, 4, 0, X, Xstar))
+
+
+@pytest.mark.parametrize("search, failures", [
+    (_search_svm_k4, ["C=2 gamma=0.1 failed: injected on 23 rows",
+                      "C=8 gamma=0.1 failed: injected on 22 rows",
+                      "C=2 gamma=0.3 failed: injected on 23 rows",
+                      "C=8 gamma=0.3 failed: injected on 22 rows"]),
+    (_search_svmplus_k4, ["C=2 gamma_plus=0.1 failed: injected on 23 rows",
+                          "C=2 gamma_plus=0.3 failed: injected on 23 rows",
+                          "C=8 gamma_plus=0.1 failed: injected on 22 rows",
+                          "C=8 gamma_plus=0.3 failed: injected on 22 rows"]),
+], ids=["svm", "svmplus"])
+def test_pooled_search_matches_in_process_search(monkeypatch, caplog, search, failures):
+    import lupicp.selection as selection
+
+    X, Xstar, y = triplet_blobs(30, seed=12)
+    grid = GridSpec((0.5, 2.0, 8.0, 1.0), (0.1, 0.3))
+
+    # the folds train on 22, 22, 23 and 23 rows: C=8 fails on fold 0 and
+    # C=2 on fold 2, so both are skipped on their later folds
+    def fail(C, n):
+        if C == 8.0 or (C == 2.0 and n == 23):
+            raise TrainingError(f"injected on {n} rows")
+
+    _patch_solver(monkeypatch, fail)
+    tables = []
+    real_pick = selection._pick_best
+
+    def pick(scores, gamma_name):
+        tables.append(list(scores.items()))
+        return real_pick(scores, gamma_name)
+
+    monkeypatch.setattr(selection, "_pick_best", pick)
+    runs = []
+    for cpus in (3, 1):
+        _available_cpus(monkeypatch, cpus)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lupicp.selection"):
+            runs.append((search(X, Xstar, y, grid), _logged_failures(caplog)))
+    pooled, in_process = runs
+    assert pooled == in_process
+    assert tables[0] == tables[1] and len(tables[0]) == 4
+    assert pooled[1] == [f"grid cell {line}" for line in failures]
+
+
+def test_search_leaves_no_worker_running(monkeypatch):
+    X, y = two_blobs(30, seed=15, separation=4.0)
+    grid = GridSpec((0.5, 2.0, 8.0), (0.1, 0.3))
+    table = _fold_table(y, 3, 0, X)
+    _available_cpus(monkeypatch, 2)
+    grid_search_svm(X, y, grid, *table)
+    assert multiprocessing.active_children() == []
+
+    def defect(C, n):
+        if C == 8.0:
+            raise RuntimeError("injected defect")
+
+    _patch_solver(monkeypatch, defect)
+    # not a TrainingError: it is no failed cell, it stops the search
+    with pytest.raises(RuntimeError, match="injected defect"):
+        grid_search_svm(X, y, grid, *table)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_search_solves_in_process(monkeypatch):
+    X, y = two_blobs(30, seed=15, separation=4.0)
+    grid = GridSpec((0.5, 2.0), (0.1, 0.3))
+    table = _fold_table(y, 3, 0, X)
+    solves = []
+    _patch_solver(monkeypatch, lambda C, n: solves.append(C))
+    _available_cpus(monkeypatch, 1)
+    grid_search_svm(X, y, grid, *table)
+    assert Counter(solves) == Counter({0.5: 2 * 3, 2.0: 2 * 3})
+    solves.clear()
+    _available_cpus(monkeypatch, 2)
+    grid_search_svm(X, y, grid, *table)
+    assert solves == []  # each worker counted into its own copy
+
+
+@pytest.mark.parametrize("name", ["svm_train", "svmplus_train",
+                                  "rbf_from_squared_distances"])
+def test_replaced_fit_lookup_keeps_the_search_in_process(monkeypatch, name):
+    import lupicp.selection as selection
+
+    X, Xstar, y = triplet_blobs(30, seed=14)
+    grid = GridSpec((0.5, 2.0), (0.01, 0.1))
+    real = getattr(selection, name)
+    monkeypatch.setattr(selection, name, lambda *args, **kwargs: real(*args, **kwargs))
+    solves = []
+    _patch_solver(monkeypatch, lambda C, n: solves.append(C))
+    _available_cpus(monkeypatch, 2)
+    _search_svmplus(X, Xstar, y, grid)
+    assert Counter(solves) == Counter({0.5: 2 * 3, 2.0: 2 * 3})
