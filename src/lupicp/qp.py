@@ -25,6 +25,11 @@ centred Newton step (sigma = STALL_SIGMA) with one length for both.
 The iteration starts on the equality set: mid-box (or one above the
 lower bound where there is no upper one), moved by the least-norm
 correction onto ``A x = b`` when that stays strictly inside the bounds.
+From a point on ``A x = b`` the primal step may not raise the objective
+by more than rounding (RISE_TOL of its size).  The centring term can
+point uphill, most of all in the first steps from that start, so a
+longer step is cut back to the objective's line minimum, and a step
+that does not descend leaves x where it is while the duals move.
 
 A tolerance on the KKT residual bounds x only loosely near a bound (a
 slack of 1e-6 against a multiplier of 1e-3 passes a 1e-8 tolerance), so
@@ -65,6 +70,9 @@ RIDGE = 1e-10
 STALL_ITERATIONS = 10
 # centring of the safeguarded step
 STALL_SIGMA = 0.1
+# objective rise, relative to its size, that a primal step on A x = b may
+# make: rounding, not ascent
+RISE_TOL = 1e-12
 # active-set corrections per polish before it gives up
 POLISH_ROUNDS = 10
 
@@ -242,6 +250,18 @@ def _max_step(v, dv):
     return float(min(1.0, np.min(v[mask] / -dv[mask])))
 
 
+def _descent_cap(p: QpProblem, Qx, x, dx, step):
+    """``step`` along ``dx`` from ``x``, cut back to the objective's line
+    minimum (0 where ``dx`` does not descend) when the full step would
+    raise the objective by more than RISE_TOL of its size."""
+    slope = float((Qx + p.c) @ dx)
+    curvature = float(dx @ (p.Q @ dx))
+    rise = step * (slope + 0.5 * step * curvature)
+    if rise <= RISE_TOL * (1.0 + abs(0.5 * x @ Qx + p.c @ x)):
+        return step
+    return -slope / curvature if slope < 0.0 else 0.0
+
+
 def _kkt_solver(M, A):
     """Factor ``M`` (overwritten) and return ``solve(f, g) -> (dx, dy)``
     for the system ``M dx - A'dy = f``, ``A dx = g``.
@@ -375,6 +395,8 @@ def _ipm(p: QpProblem, tol, max_iter):
         ad = min(1.0, eta * ad)
         if stalled:
             ap = ad = min(ap, ad)
+        if np.max(np.abs(g), initial=0.0) <= TOL:
+            ap = _descent_cap(p, Qx, x, dx, ap)
         if ap < 1e-13 and ad < 1e-13:
             reason = "step too small"
             break

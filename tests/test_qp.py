@@ -202,6 +202,10 @@ def test_symmetry_check_allows_rounding_only(gap, ok):
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
+# the first step from the equality-set start raised the objective
+@example(seed=597)
+# later steps raised it three times
+@example(seed=5725)
 def test_monotone_objective_on_feasible_iterates(seed):
     rng = np.random.default_rng(seed)
     p = random_instance(rng, n=int(rng.integers(2, 11)), n_eq=int(rng.integers(0, 3)))
@@ -214,6 +218,20 @@ def test_monotone_objective_on_feasible_iterates(seed):
     scale = 1.0 + max(abs(v) for v in feasible) if feasible else 1.0
     for earlier, later in zip(feasible, feasible[1:]):
         assert later <= earlier + 1e-7 * scale
+
+
+def test_descent_cap_keeps_steps_that_only_round_the_objective():
+    # f(x) = 0.5 x'x - 2 x[0] from x = (1, 0): the line minimum along
+    # the first axis is x[0] = 2
+    p = box_problem(np.eye(2), [-2.0, 0.0], [], -10.0, 10.0)
+    x = np.array([1.0, 0.0])
+    Qx = p.Q @ x
+    assert qp._descent_cap(p, Qx, x, np.array([1.0, 0.0]), 0.5) == 0.5
+    assert qp._descent_cap(p, Qx, x, np.array([3.0, 0.0]), 1.0) == pytest.approx(1 / 3)
+    assert qp._descent_cap(p, Qx, x, np.array([-1.0, 0.0]), 1.0) == 0.0
+    # an ascent too small to tell from rounding keeps its step
+    tiny = np.array([-1e-13, 0.0])
+    assert qp._descent_cap(p, Qx, x, tiny, 1.0) == 1.0
 
 
 @given(seed=st.integers(0, 10_000), scale=st.sampled_from([0.1, 10.0, 137.0]))
