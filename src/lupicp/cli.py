@@ -14,13 +14,15 @@ import sys
 from pathlib import Path
 
 from .conformal import pairs_from_decision_values, predict_region
-from .dataio import FEATURE_FORMATS, MNIST_LIMIT, DataFormatError, load_feature_file, write_feature_file, write_labels
+from .dataio import (FEATURE_FORMATS, MNIST_LIMIT, DataFormatError, line_blocks, load_feature_file,
+                     read_dense_csv_range, write_feature_file, write_labels)
 from .experiment import ExperimentError, decision_features, fit_model, load_config, run_experiment, split_rows, tune_for_config
 from .model_io import load_calibration, load_model, save_calibration, save_model
 from .qp import QpError
 from .selection import SearchError
 from .svm import TrainingError
-from . import conformal
+from .workers import available_cpus, map_parts
+from . import conformal, svm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _epsilon(text: str) -> float:
+    """A significance level: a real in (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", required=True)
     p.add_argument("--input", required=True, help="feature file to score")
     p.add_argument("--format", default="dense-csv", choices=FEATURE_FORMATS)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=_epsilon, default=0.05,
+                   help="significance level, in (0, 1)")
     p.add_argument("--out", help="write output here instead of stdout")
 
     p = sub.add_parser("experiment", help="run the full study protocol")
@@ -138,22 +152,78 @@ def _usage_error(message):
 REGION_TEXT = ("", "-1", "+1", "-1,+1")
 
 
+# The predict path as the library binds it.  A tuple: rebinding every
+# module global bound to one of these functions leaves its entries alone.
+_LIBRARY_PREDICT_PATH = (load_feature_file, pairs_from_decision_values,
+                         predict_region, svm.gram_matrix)
+
+
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     table = load_calibration(args.calibration)
-    X = load_feature_file(args.input, args.format)
-    pvalues = pairs_from_decision_values(table, model.decision_values(X))
-    regions = predict_region(pvalues, args.epsilon)
-    codes = (regions[:, 0] + 2 * regions[:, 1]).tolist()
-    text = "\n".join(
-        f"{p_minus:.6f}\t{p_plus:.6f}\t{REGION_TEXT[code]}"
-        for (p_minus, p_plus), code in zip(pvalues.tolist(), codes)
-    )
+
+    def predict_text(X) -> str:
+        pvalues = pairs_from_decision_values(table, model.decision_values(X))
+        regions = predict_region(pvalues, args.epsilon)
+        codes = (regions[:, 0] + 2 * regions[:, 1]).tolist()
+        return "\n".join(
+            f"{p_minus:.6f}\t{p_plus:.6f}\t{REGION_TEXT[code]}"
+            for (p_minus, p_plus), code in zip(pvalues.tolist(), codes)
+        )
+
+    texts = _pooled_predict(args.input, args.format, model, predict_text)
+    if texts is None:
+        texts = [predict_text(load_feature_file(args.input, args.format))]
+    text = "\n".join(texts)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
     return EXIT_OK
+
+
+def _pooled_predict(path, format, model, predict_text):
+    """``predict_text`` of each ``decision_values`` row block of a dense CSV
+    file, in file order, run by one forked worker per available CPU; each
+    worker parses and scores its blocks, dealt round-robin, and sends back
+    only their text.  None, which keeps predict in this process, for a file
+    of at most one block or not in dense CSV, on one CPU or without fork,
+    when a predict-path lookup (``load_feature_file``,
+    ``pairs_from_decision_values`` or ``predict_region`` in this module,
+    ``gram_matrix`` in :mod:`lupicp.svm`) has been replaced, and when a block
+    does not parse to its line count of rows of the model's width (a blank
+    line, say, or a malformed row), whose error the in-process read names."""
+    lookups = (load_feature_file, pairs_from_decision_values, predict_region,
+               svm.gram_matrix)
+    cpus = available_cpus()
+    if (format != "dense-csv" or cpus == 1
+            or any(now is not own for now, own in zip(lookups, _LIBRARY_PREDICT_PATH))):
+        return None
+    try:
+        blocks = line_blocks(path, model.block_rows)
+    except OSError:  # the in-process read reports it
+        return None
+    workers = min(cpus, len(blocks))
+    if workers <= 1:
+        return None
+    width = model.support_vectors.shape[1]
+
+    def run_part(part):
+        texts = []
+        for start, stop, rows in blocks[part::workers]:
+            try:
+                X = read_dense_csv_range(path, start, stop)
+            except ValueError:
+                return None
+            if X.shape != (rows, width):
+                return None
+            texts.append(predict_text(X))
+        return texts
+
+    parts = map_parts(run_part, workers)
+    if any(part is None for part in parts):
+        return None
+    return [parts[block % workers][block // workers] for block in range(len(blocks))]
 
 
 def cmd_experiment(args) -> int:

@@ -16,6 +16,7 @@ mapped 0 -> -1 with a logged notice.
 
 from __future__ import annotations
 
+import io
 import logging
 import struct
 import warnings
@@ -33,6 +34,8 @@ __all__ = [
     "area_downscale",
     "FEATURE_FORMATS",
     "load_feature_file",
+    "line_blocks",
+    "read_dense_csv_range",
     "write_feature_file",
     "load_labels",
     "write_labels",
@@ -44,6 +47,7 @@ IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 MNIST_LIMIT = 4000
 DIGIT_LABELS = {5: -1, 8: 1}
+SCAN_CHUNK = 2**20  # bytes read at a time by line_blocks
 
 
 class DataFormatError(Exception):
@@ -176,13 +180,19 @@ def load_feature_file(path, format: str = "dense-csv"):
     raise ValueError(f"unknown feature format {format!r}")
 
 
+def _loadtxt_dense_csv(source) -> np.ndarray:
+    """numpy's parse of a dense CSV path or text stream, which names no line
+    in its errors."""
+    with warnings.catch_warnings():
+        # an empty result is left to the line reader, which names it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        return np.loadtxt(source, delimiter=",", comments=None, ndmin=2, encoding="ascii")
+
+
 def _load_dense_csv(path) -> np.ndarray:
     try:
-        with warnings.catch_warnings():
-            # an empty result is left to the line reader, which names it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            X = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="ascii")
+        X = _loadtxt_dense_csv(path)
         if X.shape[0]:
             return X
     except ValueError:  # UnicodeDecodeError too
@@ -191,6 +201,44 @@ def _load_dense_csv(path) -> np.ndarray:
     # whitespace-only lines, digits grouped by "_"), and its errors name
     # no line; the line reader gives the same array or the located error
     return _read_dense_csv_lines(path)
+
+
+def line_blocks(path, rows: int) -> list:
+    """``(start, stop, lines)`` byte ranges that cut a file after every
+    ``rows``-th LF: each range holds ``rows`` lines but the last, which holds
+    the rest (an unterminated last line counts).  One pass over the file in
+    chunks, so the file is never held whole."""
+    cuts, lines, size, last = [0], 0, 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(SCAN_CHUNK):
+            count = chunk.count(b"\n")
+            # the next block ends at this chunk's first-th LF (1-based)
+            first = len(cuts) * rows - lines
+            if first <= count:
+                ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+                cuts.extend((size + ends[first - 1::rows] + 1).tolist())
+            lines += count
+            size += len(chunk)
+            last = chunk[-1:]
+    if last != b"\n":
+        lines += 1
+    if cuts[-1] < size:
+        cuts.append(size)
+    return [(start, stop, min(rows, lines - block * rows))
+            for block, (start, stop) in enumerate(zip(cuts, cuts[1:]))]
+
+
+def read_dense_csv_range(path, start: int, stop: int) -> np.ndarray:
+    """The dense CSV rows in bytes ``[start, stop)`` of a file, parsed as
+    :func:`load_feature_file` parses a whole file with numpy.  Raises
+    ``ValueError`` (``UnicodeDecodeError`` too), naming no line, where numpy
+    rejects the range."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        raw = io.BytesIO(fh.read(stop - start))
+    # decoded a chunk at a time, with lines ending at LF, CRLF or CR as in
+    # the text-mode file numpy reads a whole path through
+    return _loadtxt_dense_csv(io.TextIOWrapper(raw, encoding="ascii", newline=None))
 
 
 def _read_dense_csv_lines(path) -> np.ndarray:

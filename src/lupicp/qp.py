@@ -296,8 +296,9 @@ def _kkt_solver(M, A):
 def _ipm(p: QpProblem, tol, max_iter):
     """Predictor-corrector loop with a crossover to :func:`_polish`.
 
-    Returns (x, y, residual, iterations, stop reason): the first point
-    that meets ``tol``, else the best iterate seen, polished.
+    Returns (x, y, residual, its iteration, iterations run, stop reason):
+    the first point that meets ``tol``, else the best iterate seen,
+    polished.
     """
     Q, c, A, b, lower, upper = p.Q, p.c, p.A, p.b, p.lower, p.upper
     n = c.shape[0]
@@ -316,18 +317,18 @@ def _ipm(p: QpProblem, tol, max_iter):
     best = None
     previous, polished = None, set()  # active-set guesses, as bytes
     reason = "max_iter"
-    it = 0
-    for it in range(1, max_iter + 1):
+    steps = 0
+    for _ in range(max_iter):
         Qx = Q @ x
         res = _residual_terms(p, x, y, Qx=Qx)
         sl = x - lower
         su = np.where(finite_u, upper - x, 1.0)
         mu = float(np.sum(sl * zl) + np.sum(su[finite_u] * zu[finite_u])) / n_pairs
         if best is None or res < best[-1]:
-            best = (x.copy(), y.copy(), it - 1, res)
+            best = (x.copy(), y.copy(), steps, res)
         guess = _active_guess(p, x, y, Qx)
         if res <= tol:
-            return (*_polish(p, x, y, res, *guess), it - 1, "converged")
+            return (*_polish(p, x, y, res, *guess), steps, steps, "converged")
 
         # cross over once the active-set guess repeats, unless already tried
         key = guess[0].tobytes() + guess[1].tobytes()
@@ -335,7 +336,7 @@ def _ipm(p: QpProblem, tol, max_iter):
             polished.add(key)
             x_p, y_p, res_p = _polish(p, x, y, res, *guess)
             if res_p <= tol:
-                return x_p, y_p, res_p, it - 1, "converged"
+                return x_p, y_p, res_p, steps, steps, "converged"
         previous = key
 
         # slacks can collapse to zero at float precision near the solution
@@ -368,7 +369,7 @@ def _ipm(p: QpProblem, tol, max_iter):
             a_d = min(_max_step(zl, dzl), _max_step(zu[finite_u], dzu[finite_u]))
             return a_p, a_d
 
-        stalled = it - 1 - best[2] >= STALL_ITERATIONS
+        stalled = steps - best[2] >= STALL_ITERATIONS
         if stalled:
             # plain centred Newton step
             t_l = STALL_SIGMA * mu - sl * zl
@@ -404,13 +405,14 @@ def _ipm(p: QpProblem, tol, max_iter):
         y = y + ad * dy
         zl = zl + ad * dzl_d
         zu = np.where(finite_u, zu + ad * dzu_d, 0.0)
+        steps += 1
 
     x_b, y_b, it_b, res_b = best
     res_now = _residual_terms(p, x, y)
     if res_now < res_b:
-        x_b, y_b, it_b, res_b = x, y, it, res_now
+        x_b, y_b, it_b, res_b = x, y, steps, res_now
     guess = _active_guess(p, x_b, y_b, Q @ x_b)
-    return (*_polish(p, x_b, y_b, res_b, *guess), it_b, reason)
+    return (*_polish(p, x_b, y_b, res_b, *guess), it_b, steps, reason)
 
 
 def _polish(p: QpProblem, x, y, res, at_lower, at_upper):
@@ -475,7 +477,7 @@ def solve_qp(p: QpProblem, tol: float = TOL, max_iter: int = 200) -> QpSolution:
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    x, y, res, iters, reason = _ipm(p, tol=tol, max_iter=max_iter)
+    x, y, res, iters, ran, reason = _ipm(p, tol=tol, max_iter=max_iter)
     solution = QpSolution(
         x=x,
         objective=p.objective(x),
@@ -487,7 +489,7 @@ def solve_qp(p: QpProblem, tol: float = TOL, max_iter: int = 200) -> QpSolution:
     if res > tol:
         raise QpNonConvergenceError(
             f"KKT residual {res:.3e} above tolerance {tol:.1e} "
-            f"after {iters} iterations: {reason}",
+            f"after {ran} iterations (best at iteration {iters}): {reason}",
             best=solution,
         )
     return solution

@@ -7,12 +7,13 @@ fold assignment and selected parameter is reproducible.  Grid-search
 ties are broken toward the smaller C, then the smaller gamma.
 
 A grid search deals its distinct cells into one interleaved part per
-available CPU and runs each part in a forked worker; the workers inherit
-the folds and the fit through fork and send back only each cell's fold
-accuracies or first failure.  The search runs in this process instead
-on one CPU, where fork is unavailable, or when ``svm_train``,
-``svmplus_train`` or ``rbf_from_squared_distances`` in this module no
-longer is the library's own (a test's or a tracer's replacement then
+available CPU and runs each part in a forked worker
+(:mod:`lupicp.workers`); the workers inherit the folds and the fit
+through fork and send back only each cell's fold accuracies or first
+failure.  The search runs in this process instead on one CPU, where
+fork is unavailable, or when ``svm_train``, ``svmplus_train`` or
+``rbf_from_squared_distances`` in this module no longer is the library's
+own (a test's or a tracer's replacement then
 sees every fit).  Either way the same fits run and the same cell wins.
 """
 
@@ -20,9 +21,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +28,7 @@ import numpy as np
 from .kernels import KernelSpec, rbf_from_squared_distances, squared_distances
 from .svm import SvmConfig, TrainingError, sign_labels, svm_train
 from .svmplus import SvmPlusConfig, svmplus_train
+from .workers import available_cpus, map_parts
 
 __all__ = [
     "SplitPlan",
@@ -208,12 +207,12 @@ def _cross_validate(y, folds, cells, fit, gamma_name):
     """Mean k-fold validation accuracy of every distinct grid cell.
 
     The distinct (C, gamma) ``cells`` are dealt into :func:`_worker_count`
-    interleaved parts, run by :func:`_map_parts`.  Each part is fold-major:
-    each fold walks the part's cells in grid order.  ``fit(fold, C, gamma)``
-    trains on fold ``fold`` and returns the model with its
-    validation-by-training kernel block.  A cell whose training fails on a
-    fold is not fit on the later folds; it is logged after the loop, in
-    cell order, and left out.
+    interleaved parts, run by :func:`~lupicp.workers.map_parts`.  Each part
+    is fold-major: each fold walks the part's cells in grid order.
+    ``fit(fold, C, gamma)`` trains on fold ``fold`` and returns the model
+    with its validation-by-training kernel block.  A cell whose training
+    fails on a fold is not fit on the later folds; it is logged after the
+    loop, in cell order, and left out.
     """
     cells = list(dict.fromkeys((float(C), float(gamma)) for C, gamma in cells))
     workers = _worker_count(len(cells))
@@ -235,7 +234,7 @@ def _cross_validate(y, folds, cells, fit, gamma_name):
         return accs, failed
 
     accs, failed = {}, {}
-    for part_accs, part_failed in _map_parts(run_part, workers):
+    for part_accs, part_failed in map_parts(run_part, workers):
         accs.update(part_accs)
         failed.update(part_failed)
     for C, gamma in cells:
@@ -247,41 +246,12 @@ def _cross_validate(y, folds, cells, fit, gamma_name):
 
 def _worker_count(n_cells: int) -> int:
     """One worker per available CPU, at most one per cell; 1, which keeps
-    the search in this process, without fork or when a fit-path lookup of
-    this module has been replaced."""
+    the search in this process, when a fit-path lookup of this module has
+    been replaced."""
     fit_path = (svm_train, svmplus_train, rbf_from_squared_distances)
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or any(now is not own for now, own in zip(fit_path, _LIBRARY_FIT_PATH))):
+    if any(now is not own for now, own in zip(fit_path, _LIBRARY_FIT_PATH)):
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_cells)
-
-
-def _map_parts(run_part, workers: int) -> list:
-    """``[run_part(0), ..., run_part(workers - 1)]``: in this process for one
-    worker, else each part in its own forked worker.  The workers are
-    joined before this returns, also when a part raises."""
-    if workers == 1:
-        return list(map(run_part, range(workers)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt, initargs=(run_part,)) as pool:
-        return list(pool.map(_run_adopted, range(workers)))
-
-
-_adopted = None  # in a forked worker: the part function of its search
-
-
-def _adopt(run_part):
-    # runs first in each worker; run_part reaches it through fork, unpickled
-    global _adopted
-    _adopted = run_part
-
-
-def _run_adopted(part):
-    return _adopted(part)
+    return min(available_cpus(), n_cells)
 
 
 def grid_search_svm(X, y, grid: GridSpec, folds, distances) -> dict:

@@ -72,15 +72,21 @@ class DecisionModel:
     def n_support(self) -> int:
         return self.weights.shape[0]
 
+    @property
+    def block_rows(self) -> int:
+        """Rows per block of :meth:`decision_values`: as many as keep the
+        kernel block within BLOCK_ENTRIES entries, and at least one."""
+        return max(1, BLOCK_ENTRIES // max(1, self.n_support))
+
     def decision_values(self, X) -> np.ndarray:
-        """f at each row of X (dense or CSR), scored in blocks of rows whose
-        kernel block holds at most BLOCK_ENTRIES entries (or one row), so
-        memory beyond X and the result does not grow with the row count."""
+        """f at each row of X (dense or CSR), scored in blocks of
+        :attr:`block_rows` rows, so memory beyond X and the result does not
+        grow with the row count."""
         n = X.shape[0]
         if self.n_support == 0:
             return np.full(n, self.bias)
         values = np.empty(n)
-        step = max(1, BLOCK_ENTRIES // self.n_support)
+        step = self.block_rows
         for start in range(0, n, step):
             rows = X[start:start + step]
             values[start:start + step] = (

@@ -569,3 +569,147 @@ def test_mnist_prepare_missing_file(tmp_path, capsys):
         "--labels", str(tmp_path / "nope2"), "--out-dir", str(tmp_path),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("epsilon", ["1.5", "0", "1", "-0.1", "nan", "abc"])
+def test_bad_epsilon_stops_before_any_read(tmp_path, capsys, epsilon):
+    # every file is missing: a read would make this a data error (exit 2)
+    absent = str(tmp_path / "absent.txt")
+    code = main(["predict", "--model", absent, "--calibration", absent,
+                 "--input", absent, "--epsilon", epsilon])
+    assert code == 1
+    assert "argument --epsilon" in capsys.readouterr().err
+
+
+PREDICT_BLOCK_ROWS = 7  # rows per decision_values block in the pooled tests
+
+
+def _predict_rows(n, seed):
+    """``n`` input rows of the svmplus_files width, as dense CSV lines."""
+    X, _, _ = triplet_blobs(n, seed=seed)
+    return [",".join(repr(float(v)) for v in row) for row in X]
+
+
+def _sparse_text(n, seed):
+    """The same kind of rows as a sparse feature file."""
+    X = sp.csr_matrix(triplet_blobs(n, seed=seed)[0])
+    rows = [" ".join(f"{j}:{v!r}" for j, v in zip(row.indices.tolist(), row.data.tolist()))
+            for row in X]
+    return f"#dim {X.shape[1]}\n" + "\n".join(rows) + "\n"
+
+
+# input name -> (file text, format, rows); the dense inputs cut into
+# blocks of PREDICT_BLOCK_ROWS rows
+POOLED_INPUTS = {
+    "partial last block": ("\n".join(_predict_rows(38, 21)) + "\n", "dense-csv", 38),
+    "two blocks": ("\n".join(_predict_rows(10, 22)) + "\n", "dense-csv", 10),
+    "blank line": ("\n".join(_predict_rows(9, 23) + [""] + _predict_rows(11, 24))
+                   + "\n", "dense-csv", 20),
+    "whitespace-only line": ("\n".join(_predict_rows(16, 25) + ["   "] + _predict_rows(4, 26))
+                             + "\n", "dense-csv", 20),
+    "CRLF, no final newline": ("\r\n".join(_predict_rows(30, 27)), "dense-csv", 30),
+    "sparse": (_sparse_text(38, 28), "sparse-index-value", 38),
+}
+
+
+@pytest.fixture
+def pooled_predict(svmplus_files, monkeypatch, capsys):
+    """Run predict on ``text`` with ``cpus`` available CPUs and blocks of
+    PREDICT_BLOCK_ROWS rows; returns (exit code, output bytes, stderr, how
+    often this process read the input whole through load_feature_file)."""
+    import os
+
+    import lupicp.dataio as dataio
+    import lupicp.svm as svm
+    from lupicp.model_io import load_model
+
+    n_support = load_model(svmplus_files["model"]).n_support
+    monkeypatch.setattr(svm, "BLOCK_ENTRIES", PREDICT_BLOCK_ROWS * n_support)
+    reads = []
+    for loader in ("_load_dense_csv", "_load_sparse"):
+        def counted(path, real=getattr(dataio, loader)):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(dataio, loader, counted)
+    work = svmplus_files["input"].parent
+
+    def run(text, fmt, cpus, stdout=False):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        path = work / "rows.txt"
+        path.write_bytes(text.encode("latin-1"))  # "\xe9" is the byte 0xe9
+        out = work / "rows-pred.tsv"
+        out.unlink(missing_ok=True)
+        argv = ["predict", "--model", str(svmplus_files["model"]),
+                "--calibration", str(svmplus_files["calibration"]),
+                "--input", str(path), "--format", fmt, "--epsilon", "0.3"]
+        reads.clear()
+        capsys.readouterr()
+        code = main(argv if stdout else argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        if stdout:
+            output = captured.out.encode()
+        else:
+            output = out.read_bytes() if out.exists() else None
+        return code, output, captured.err, len(reads)
+
+    return run
+
+
+@pytest.mark.parametrize("name", sorted(POOLED_INPUTS) + ["stdout"])
+def test_pooled_predict_writes_the_in_process_bytes(pooled_predict, name):
+    import multiprocessing
+
+    text, fmt, rows = POOLED_INPUTS.get(name, POOLED_INPUTS["partial last block"])
+    runs = [pooled_predict(text, fmt, cpus, stdout=name == "stdout") for cpus in (1, 2, 3)]
+    code, output, err, _ = runs[0]
+    assert code == 0 and output.count(b"\n") == rows
+    assert [run[:3] for run in runs[1:]] == [(code, output, err)] * 2
+    # on one CPU, and for a sparse input or one numpy does not parse in
+    # blocks, this process reads the input whole; else the workers read it
+    pooled = fmt == "dense-csv" and name not in ("blank line", "whitespace-only line")
+    assert [run[3] for run in runs] == [1] + [0 if pooled else 1] * 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("damage, message", [
+    (",abc", "non-numeric field"),
+    (",\xe9", "non-ASCII byte 0xe9"),
+], ids=["non-numeric", "non-ASCII"])
+def test_malformed_row_in_a_worker_block_is_named(pooled_predict, damage, message):
+    import multiprocessing
+
+    rows = _predict_rows(38, 29)
+    rows[36] = rows[36].replace(",", damage, 1)  # line 37, in the last block
+    text = "\n".join(rows) + "\n"
+    runs = [pooled_predict(text, "dense-csv", cpus) for cpus in (1, 2)]
+    assert runs[0][:3] == runs[1][:3]
+    code, output, err, _ = runs[0]
+    assert code == 2 and output is None
+    assert f"rows.txt:37: {message}" in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("module, name", [
+    ("lupicp.cli", "load_feature_file"),
+    ("lupicp.cli", "pairs_from_decision_values"),
+    ("lupicp.cli", "predict_region"),
+    ("lupicp.svm", "gram_matrix"),
+])
+def test_replaced_predict_lookup_keeps_predict_in_process(pooled_predict, monkeypatch,
+                                                          module, name):
+    import importlib
+
+    target = importlib.import_module(module)
+    real = getattr(target, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, counted)
+    text, fmt, _ = POOLED_INPUTS["partial last block"]
+    code, output, _, reads = pooled_predict(text, fmt, 2)
+    assert code == 0 and output.count(b"\n") == 38
+    assert reads == 1 and calls  # this process read and scored every row

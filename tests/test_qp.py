@@ -170,7 +170,15 @@ def test_nonconvergence_carries_best_iterate():
     assert best.x.shape == (6,)
     assert best.kkt_residual > 1e-14
     assert best.stop_reason == "max_iter"
-    assert str(info.value).endswith(": max_iter")
+    assert str(info.value).endswith(
+        f"after 2 iterations (best at iteration {best.iterations}): max_iter")
+    # an infeasible box: the first step is the closest the iteration gets,
+    # and the message names both that iterate and the iterations run
+    infeasible = box_problem(np.eye(3), np.zeros(3), [([1.0, 1.0, 1.0], 10.0)], 0.0, 1.0)
+    with pytest.raises(QpNonConvergenceError) as info:
+        solve_qp(infeasible, max_iter=5)
+    assert info.value.best.iterations == 1
+    assert str(info.value).endswith("after 5 iterations (best at iteration 1): max_iter")
 
 
 def test_validation_rejects_bad_problems():
