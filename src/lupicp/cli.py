@@ -13,16 +13,12 @@ import logging
 import sys
 from pathlib import Path
 
-from .conformal import pairs_from_decision_values, predict_region
+from .conformal import calibrate, pairs_from_decision_values, predict_region
 from .dataio import (FEATURE_FORMATS, MNIST_LIMIT, DataFormatError, line_blocks, load_feature_file,
                      read_dense_csv_range, write_feature_file, write_labels)
-from .experiment import ExperimentError, decision_features, fit_model, load_config, run_experiment, split_rows, tune_for_config
 from .model_io import load_calibration, load_model, save_calibration, save_model
-from .qp import QpError
-from .selection import SearchError
-from .svm import TrainingError
 from .workers import available_cpus, map_parts
-from . import conformal, svm
+from . import decision
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,7 +26,18 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 DATA_ERRORS = (DataFormatError, FileNotFoundError, IsADirectoryError)
-NUMERICAL_ERRORS = (QpError, TrainingError, SearchError, ExperimentError)
+# (module, class) of each numerical error.  The training modules load only
+# in the commands that train, so predict imports none of them; an error of
+# a module that is not loaded cannot have been raised.
+NUMERICAL_ERRORS = (("lupicp.qp", "QpError"), ("lupicp.svm", "TrainingError"),
+                    ("lupicp.selection", "SearchError"),
+                    ("lupicp.experiment", "ExperimentError"))
+
+
+def _numerical_errors() -> tuple:
+    """The numerical error classes of the loaded modules."""
+    return tuple(getattr(sys.modules[module], name)
+                 for module, name in NUMERICAL_ERRORS if module in sys.modules)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,6 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _experiment():
+    """:mod:`lupicp.experiment`, and with it the training stack and
+    ``scipy.linalg``, for the commands that train.  ``scipy.sparse`` loads
+    first, as when every command imported it at start-up: in the other
+    order the benchmark's sparse-X* train (``fit_sparse``) kept 23 MB more
+    once the SVM+ dual's temporaries were freed, and peaked at 228.7 MB
+    instead of 217.7 MB."""
+    import scipy.sparse  # noqa: F401
+
+    from . import experiment
+
+    return experiment
+
+
 def _load_config(args):
     """The config file with the --seed and --reps overrides, validated as
     the file's own values are."""
@@ -103,12 +124,13 @@ def _load_config(args):
         for field, flag in (("seed", "seed"), ("repetitions", "reps"))
         if getattr(args, flag, None) is not None
     }
-    return dataclasses.replace(load_config(args.config), **overrides)
+    return dataclasses.replace(_experiment().load_config(args.config), **overrides)
 
 
 def cmd_tune(args) -> int:
     cfg = _load_config(args)
-    text = json.dumps(tune_for_config(cfg, cfg.dataset.load()), indent=2, sort_keys=True)
+    text = json.dumps(_experiment().tune_for_config(cfg, cfg.dataset.load()), indent=2,
+                      sort_keys=True)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -131,13 +153,15 @@ def cmd_train(args) -> int:
     params = {"C": args.cost, **{name: getattr(args, name) for name in names}}
     cfg = _load_config(args)
     data = cfg.dataset.load()
-    _, _, proper, cal = split_rows(cfg, data.y)
-    model = fit_model(key, params, data.X[proper], data.Xstar[proper], data.y[proper])
+    experiment = _experiment()
+    _, _, proper, cal = experiment.split_rows(cfg, data.y)
+    model = experiment.fit_model(key, params, data.X[proper], data.Xstar[proper],
+                                 data.y[proper])
     save_model(args.out, model)
     print(f"model written to {args.out}")
     if args.calibration_out:
-        cal_features = decision_features(key, data.X, data.Xstar)[cal]
-        table = conformal.calibrate(model, cal_features, data.y[cal])
+        cal_features = experiment.decision_features(key, data.X, data.Xstar)[cal]
+        table = calibrate(model, cal_features, data.y[cal])
         save_calibration(args.calibration_out, table)
         print(f"calibration table written to {args.calibration_out}")
     return EXIT_OK
@@ -155,7 +179,7 @@ REGION_TEXT = ("", "-1", "+1", "-1,+1")
 # The predict path as the library binds it.  A tuple: rebinding every
 # module global bound to one of these functions leaves its entries alone.
 _LIBRARY_PREDICT_PATH = (load_feature_file, pairs_from_decision_values,
-                         predict_region, svm.gram_matrix)
+                         predict_region, decision.gram_matrix)
 
 
 def cmd_predict(args) -> int:
@@ -173,7 +197,12 @@ def cmd_predict(args) -> int:
 
     texts = _pooled_predict(args.input, args.format, model, predict_text)
     if texts is None:
-        texts = [predict_text(load_feature_file(args.input, args.format))]
+        X = load_feature_file(args.input, args.format)
+        width = model.support_vectors.shape[1]
+        if X.shape[1] != width:
+            raise DataFormatError(f"{X.shape[1]} features per row, but the model "
+                                  f"was trained on {width}", path=args.input)
+        texts = [predict_text(X)]
     text = "\n".join(texts)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -190,11 +219,11 @@ def _pooled_predict(path, format, model, predict_text):
     of at most one block or not in dense CSV, on one CPU or without fork,
     when a predict-path lookup (``load_feature_file``,
     ``pairs_from_decision_values`` or ``predict_region`` in this module,
-    ``gram_matrix`` in :mod:`lupicp.svm`) has been replaced, and when a block
+    ``gram_matrix`` in :mod:`lupicp.decision`) has been replaced, and when a block
     does not parse to its line count of rows of the model's width (a blank
     line, say, or a malformed row), whose error the in-process read names."""
     lookups = (load_feature_file, pairs_from_decision_values, predict_region,
-               svm.gram_matrix)
+               decision.gram_matrix)
     cpus = available_cpus()
     if (format != "dense-csv" or cpus == 1
             or any(now is not own for now, own in zip(lookups, _LIBRARY_PREDICT_PATH))):
@@ -227,7 +256,7 @@ def _pooled_predict(path, format, model, predict_text):
 
 
 def cmd_experiment(args) -> int:
-    report = run_experiment(_load_config(args))
+    report = _experiment().run_experiment(_load_config(args))
     print(report.summary_table())
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -273,7 +302,7 @@ def main(argv=None) -> int:
     except DATA_ERRORS as exc:
         print(f"lupicp: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NUMERICAL_ERRORS as exc:
+    except _numerical_errors() as exc:
         print(f"lupicp: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "TripletDataset",
@@ -343,7 +342,11 @@ def _parse_pairs(tokens, dim, indices, data, path, lineno) -> None:
         data.append(value)
 
 
-def _load_sparse(path) -> sp.csr_matrix:
+def _load_sparse(path):
+    """The CSR matrix of a sparse feature file; scipy loads here, on the
+    first sparse read, and not with this module."""
+    import scipy.sparse as sp
+
     data, indices, indptr = [], [], [0]
     dim = None
     for lineno, line in _numbered_lines(path):
@@ -391,6 +394,8 @@ def write_feature_file(path, X, format: str = "dense-csv") -> None:
                 fh.write(",".join(repr(float(v)) for v in row))
                 fh.write("\n")
     elif format == "sparse-index-value":
+        import scipy.sparse as sp
+
         X = sp.csr_matrix(X)
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"#dim {X.shape[1]}\n")

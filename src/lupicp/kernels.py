@@ -1,7 +1,8 @@
 """RBF kernel evaluation and Gram-matrix construction.
 
 Shared by the SVM and SVM+ trainers and by decision-function evaluation.
-Feature matrices may be dense ndarrays or scipy sparse matrices; Gram
+Feature matrices may be dense ndarrays or scipy sparse matrices, told
+apart without importing scipy (anything but an ndarray is sparse); Gram
 matrices are always materialized densely (affordable at the row counts
 this library targets, and it keeps the QP solver simple).
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "KernelSpec",
@@ -42,9 +42,9 @@ def _num_cols(X) -> int:
 
 
 def _row_sq_norms(X) -> np.ndarray:
-    if sp.issparse(X):
-        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
-    return np.einsum("ij,ij->i", X, X)
+    if isinstance(X, np.ndarray):
+        return np.einsum("ij,ij->i", X, X)
+    return np.asarray(X.multiply(X).sum(axis=1)).ravel()
 
 
 def squared_distances(A, B) -> np.ndarray:
@@ -63,7 +63,7 @@ def squared_distances(A, B) -> np.ndarray:
     na = _row_sq_norms(A)
     nb = na if same else _row_sq_norms(B)
     cross = A @ B.T
-    if sp.issparse(cross):
+    if not isinstance(cross, np.ndarray):
         cross = cross.toarray()
     cross = np.asarray(cross, dtype=float)
     # in place, the same values as na + nb - 2 * cross with two arrays alive

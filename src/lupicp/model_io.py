@@ -17,13 +17,11 @@ and every format error is a ``DataFormatError`` naming path:line.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .conformal import CalibrationTable
 from .dataio import _format_pairs, _LineCursor, _parse_pairs
+from .decision import DecisionModel, SvmPlusModel
 from .kernels import KernelSpec
-from .svm import DecisionModel
-from .svmplus import SvmPlusModel
 
 __all__ = [
     "save_model",
@@ -61,8 +59,10 @@ def _parse(path, header, parser):
 
 
 def _write_block(fh, keyword, coefficients, vectors):
-    sparse = sp.issparse(vectors)
+    sparse = not isinstance(vectors, np.ndarray)
     if sparse:
+        import scipy.sparse as sp
+
         vectors = sp.csr_matrix(vectors)  # rows of a CSC or COO matrix too
     n, d = vectors.shape
     fh.write(f"{keyword} {n} {d} {'sparse' if sparse else 'dense'}\n")
@@ -104,6 +104,8 @@ def _read_block(lines, keyword):
     if layout == "dense":
         vectors = np.array(data, dtype=float).reshape(count, dim)
     else:
+        import scipy.sparse as sp
+
         vectors = sp.csr_matrix(
             (np.asarray(data), np.asarray(indices, dtype=np.int64),
              np.asarray(indptr)),

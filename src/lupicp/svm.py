@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decision import DecisionModel
 from .kernels import KernelSpec, gram_matrix
 from .qp import QpNonConvergenceError, QpProblem, solve_qp
 
 __all__ = [
     "SvmConfig",
-    "DecisionModel",
     "TrainingError",
     "svm_train",
     "sign_labels",
@@ -32,8 +32,6 @@ logger = logging.getLogger(__name__)
 PRUNE_TOL = 1e-9
 FREE_TOL = 1e-6
 ACCEPT_RESIDUAL = 1e-6
-# kernel entries per block of rows that decision_values scores at once
-BLOCK_ENTRIES = 2**21
 
 
 class TrainingError(Exception):
@@ -50,50 +48,6 @@ class SvmConfig:
     def __post_init__(self):
         if not (np.isfinite(self.C) and self.C > 0):
             raise ValueError(f"C must be a positive real, got {self.C!r}")
-
-
-@dataclass
-class DecisionModel:
-    """Trained decision function f(x) = sum_i weights[i] K(sv_i, x) + bias.
-
-    ``weights`` holds alpha_i * y_i for the retained support rows;
-    ``support_indices`` maps them back to rows of the training matrix.
-    """
-
-    support_vectors: object
-    weights: np.ndarray
-    bias: float
-    kernel: KernelSpec
-    support_indices: np.ndarray | None = None
-    dual_objective: float | None = None
-    kkt_residual: float | None = None
-
-    @property
-    def n_support(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def block_rows(self) -> int:
-        """Rows per block of :meth:`decision_values`: as many as keep the
-        kernel block within BLOCK_ENTRIES entries, and at least one."""
-        return max(1, BLOCK_ENTRIES // max(1, self.n_support))
-
-    def decision_values(self, X) -> np.ndarray:
-        """f at each row of X (dense or CSR), scored in blocks of
-        :attr:`block_rows` rows, so memory beyond X and the result does not
-        grow with the row count."""
-        n = X.shape[0]
-        if self.n_support == 0:
-            return np.full(n, self.bias)
-        values = np.empty(n)
-        step = self.block_rows
-        for start in range(0, n, step):
-            rows = X[start:start + step]
-            values[start:start + step] = (
-                gram_matrix(rows, self.support_vectors, self.kernel) @ self.weights
-                + self.bias
-            )
-        return values
 
 
 def sign_labels(values) -> np.ndarray:

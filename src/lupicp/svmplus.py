@@ -26,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decision import SvmPlusModel
 from .kernels import KernelSpec, gram_matrix
 from .qp import QpProblem
-from .svm import DecisionModel, PRUNE_TOL, check_labels, solve_or_accept
+from .svm import PRUNE_TOL, check_labels, solve_or_accept
 
 __all__ = [
     "SvmPlusConfig",
-    "SvmPlusModel",
     "BiasRecoveryWarning",
     "svmplus_train",
 ]
@@ -60,28 +60,6 @@ class SvmPlusConfig:
             raise ValueError(
                 f"gamma_plus must be a positive real, got {self.gamma_plus!r}"
             )
-
-
-@dataclass(kw_only=True)
-class SvmPlusModel(DecisionModel):
-    """Decision model over X plus the diagnostic correcting function.
-
-    ``deltas`` are alpha + beta - C; together with ``bias_star`` they
-    reconstruct the modeled slack over X*.  The raw dual variables are
-    retained for KKT auditing.
-    """
-
-    deltas: np.ndarray
-    bias_star: float
-    correcting_kernel: KernelSpec
-    correcting_vectors: object
-    gamma_plus: float
-    alpha: np.ndarray | None = None
-    beta: np.ndarray | None = None
-
-    def correcting_values(self, Xstar) -> np.ndarray:
-        K = gram_matrix(Xstar, self.correcting_vectors, self.correcting_kernel)
-        return (K @ self.deltas) / self.gamma_plus + self.bias_star
 
 
 def assemble_dual(K, Kstar, y, C, gamma_plus):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lupicp
 from lupicp.cli import main
 from lupicp.dataio import load_feature_file, write_feature_file
 from conftest import triplet_blobs, write_experiment_config
@@ -313,7 +318,7 @@ def test_train_svmplus_roundtrip(tmp_path, config_path, capsys):
     ])
     assert code == 0
     from lupicp.model_io import load_model
-    from lupicp.svmplus import SvmPlusModel
+    from lupicp.decision import SvmPlusModel
 
     assert isinstance(load_model(model_path), SvmPlusModel)
 
@@ -584,15 +589,16 @@ def test_bad_epsilon_stops_before_any_read(tmp_path, capsys, epsilon):
 PREDICT_BLOCK_ROWS = 7  # rows per decision_values block in the pooled tests
 
 
-def _predict_rows(n, seed):
-    """``n`` input rows of the svmplus_files width, as dense CSV lines."""
-    X, _, _ = triplet_blobs(n, seed=seed)
+def _predict_rows(n, seed, dim=2):
+    """``n`` input rows of the svmplus_files width, or of ``dim`` columns,
+    as dense CSV lines."""
+    X, _, _ = triplet_blobs(n, seed=seed, dim=dim)
     return [",".join(repr(float(v)) for v in row) for row in X]
 
 
-def _sparse_text(n, seed):
+def _sparse_text(n, seed, dim=2):
     """The same kind of rows as a sparse feature file."""
-    X = sp.csr_matrix(triplet_blobs(n, seed=seed)[0])
+    X = sp.csr_matrix(triplet_blobs(n, seed=seed, dim=dim)[0])
     rows = [" ".join(f"{j}:{v!r}" for j, v in zip(row.indices.tolist(), row.data.tolist()))
             for row in X]
     return f"#dim {X.shape[1]}\n" + "\n".join(rows) + "\n"
@@ -620,11 +626,11 @@ def pooled_predict(svmplus_files, monkeypatch, capsys):
     import os
 
     import lupicp.dataio as dataio
-    import lupicp.svm as svm
+    import lupicp.decision as decision
     from lupicp.model_io import load_model
 
-    n_support = load_model(svmplus_files["model"]).n_support
-    monkeypatch.setattr(svm, "BLOCK_ENTRIES", PREDICT_BLOCK_ROWS * n_support)
+    model = load_model(svmplus_files["model"])
+    monkeypatch.setattr(decision, "BLOCK_ENTRIES", PREDICT_BLOCK_ROWS * model.n_support)
     reads = []
     for loader in ("_load_dense_csv", "_load_sparse"):
         def counted(path, real=getattr(dataio, loader)):
@@ -638,6 +644,8 @@ def pooled_predict(svmplus_files, monkeypatch, capsys):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         path = work / "rows.txt"
         path.write_bytes(text.encode("latin-1"))  # "\xe9" is the byte 0xe9
+        # one block, as when the patch above misses, would stay in process
+        assert len(dataio.line_blocks(path, model.block_rows)) > 1
         out = work / "rows-pred.tsv"
         out.unlink(missing_ok=True)
         argv = ["predict", "--model", str(svmplus_files["model"]),
@@ -694,7 +702,7 @@ def test_malformed_row_in_a_worker_block_is_named(pooled_predict, damage, messag
     ("lupicp.cli", "load_feature_file"),
     ("lupicp.cli", "pairs_from_decision_values"),
     ("lupicp.cli", "predict_region"),
-    ("lupicp.svm", "gram_matrix"),
+    ("lupicp.decision", "gram_matrix"),
 ])
 def test_replaced_predict_lookup_keeps_predict_in_process(pooled_predict, monkeypatch,
                                                           module, name):
@@ -713,3 +721,121 @@ def test_replaced_predict_lookup_keeps_predict_in_process(pooled_predict, monkey
     code, output, _, reads = pooled_predict(text, fmt, 2)
     assert code == 0 and output.count(b"\n") == 38
     assert reads == 1 and calls  # this process read and scored every row
+
+
+@pytest.mark.parametrize("fmt", ["dense-csv", "sparse-index-value"])
+def test_input_of_another_width_is_a_data_error(pooled_predict, fmt):
+    import multiprocessing
+
+    if fmt == "dense-csv":
+        text = "\n".join(_predict_rows(38, 30, dim=3)) + "\n"
+    else:
+        text = _sparse_text(38, 30, dim=3)
+    for cpus in (1, 2):
+        code, output, err, _ = pooled_predict(text, fmt, cpus)
+        assert code == 2 and output is None
+        assert "rows.txt: 3 features per row, but the model was trained on 2" in err
+    assert multiprocessing.active_children() == []
+
+
+# the modules that only training loads
+TRAINING_MODULES = {"lupicp.qp", "lupicp.svm", "lupicp.svmplus", "lupicp.selection",
+                    "lupicp.experiment"}
+
+# [exit code, in-process dense reads, loaded modules] of `lupicp predict`
+# (none for no arguments) run on CPUS CPUs with BLOCK_ENTRIES entries per block
+FRESH_PREDICT = """
+import json, os, sys
+import lupicp.cli, lupicp.dataio, lupicp.decision
+
+cpus, block_entries, argv = json.loads(sys.argv[1])
+os.sched_getaffinity = lambda pid: set(range(cpus))
+lupicp.decision.BLOCK_ENTRIES = block_entries
+reads = []
+real = lupicp.dataio._load_dense_csv
+lupicp.dataio._load_dense_csv = lambda path: reads.append(path) or real(path)
+code = lupicp.cli.main(argv) if argv else None
+print(json.dumps([code, len(reads), sorted(sys.modules)]))
+"""
+
+# [exit code, whether selection looks up the wrapper, [scipy.linalg loaded,
+# workers] at each map_parts call] of `lupicp` run with ARGV on two CPUs
+FRESH_TUNE = """
+import json, os, sys
+import lupicp.cli, lupicp.workers
+
+os.sched_getaffinity = lambda pid: {0, 1}
+calls = []
+real = lupicp.workers.map_parts
+
+def recording(run_part, workers):
+    calls.append(["scipy.linalg" in sys.modules, workers])
+    return real(run_part, workers)
+
+lupicp.workers.map_parts = recording
+code = lupicp.cli.main(json.loads(sys.argv[1]))
+import lupicp.selection
+print(json.dumps([code, lupicp.selection.map_parts is recording, calls]))
+"""
+
+
+def _fresh(script, arg):
+    """The last stdout line, as JSON, of ``script`` run with the JSON of
+    ``arg`` in an interpreter that has imported nothing of lupicp."""
+    src = str(Path(lupicp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(arg)], env=env,
+                          check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _heavy(modules):
+    return sorted(name for name in modules
+                  if name.split(".")[0] == "scipy" or name in TRAINING_MODULES)
+
+
+def test_cli_import_loads_no_scipy_and_no_training_module():
+    code, _, modules = _fresh(FRESH_PREDICT, [1, 0, []])
+    assert code is None and "lupicp.cli" in modules
+    assert _heavy(modules) == []
+
+
+@pytest.mark.parametrize("fmt, cpus, reads", [
+    ("dense-csv", 1, 1),
+    ("dense-csv", 2, 0),
+    ("sparse-index-value", 2, 0),
+], ids=["dense, one CPU", "dense, pooled", "sparse"])
+def test_predict_loads_no_training_module(svmplus_files, tmp_path, fmt, cpus, reads):
+    from lupicp.model_io import load_model
+
+    path = tmp_path / "rows.txt"
+    if fmt == "dense-csv":
+        path.write_text("\n".join(_predict_rows(38, 31)) + "\n")
+    else:
+        path.write_text(_sparse_text(38, 31))
+    out = tmp_path / "pred.tsv"
+    block_entries = PREDICT_BLOCK_ROWS * load_model(svmplus_files["model"]).n_support
+    code, read_count, modules = _fresh(FRESH_PREDICT, [cpus, block_entries, [
+        "predict", "--model", str(svmplus_files["model"]),
+        "--calibration", str(svmplus_files["calibration"]),
+        "--input", str(path), "--format", fmt, "--out", str(out)]])
+    assert (code, read_count) == (0, reads)
+    assert out.read_text().count("\n") == 38
+    if fmt == "dense-csv":
+        assert _heavy(modules) == []
+    else:  # the sparse read loads scipy.sparse, and nothing of training
+        assert "scipy.sparse" in modules and TRAINING_MODULES.isdisjoint(modules)
+
+
+def test_tune_loads_scipy_linalg_before_any_worker_forks(tmp_path, triplet_files):
+    # forked after scipy.linalg loads, the workers inherit it; each would
+    # import it anew if qp loaded it only on the first solve
+    grids = {"svm_x": {"C": [1.0, 10.0], "gamma": [0.5]},
+             "svm_xstar": {"C": [1.0, 10.0], "gamma": [0.2]},
+             "svmplus": {"C": [1.0, 10.0], "gamma_plus": [0.1]}}
+    config = write_experiment_config(tmp_path, triplet_files, grids=grids)
+    code, wrapped, calls = _fresh(FRESH_TUNE, ["tune", "--config", str(config)])
+    assert code == 0 and wrapped
+    # one call per search, each pooled: wrapping map_parts keeps the pool
+    assert calls == [[True, 2]] * 3

@@ -15,7 +15,8 @@ from lupicp.model_io import (
     save_calibration,
     save_model,
 )
-from lupicp.svm import DecisionModel, SvmConfig, svm_train
+from lupicp.decision import DecisionModel
+from lupicp.svm import SvmConfig, svm_train
 from lupicp.svmplus import SvmPlusConfig, svmplus_train
 from conftest import triplet_blobs, two_blobs
 

@@ -6,7 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 from lupicp.kernels import KernelSpec, gram_matrix
-from lupicp.svm import BLOCK_ENTRIES, DecisionModel, SvmConfig, sign_labels, svm_train
+from lupicp.decision import BLOCK_ENTRIES, DecisionModel
+from lupicp.svm import SvmConfig, sign_labels, svm_train
 from conftest import two_blobs
 from oracles import qp_reference_solution
 
