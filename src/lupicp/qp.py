@@ -36,10 +36,18 @@ slack of 1e-6 against a multiplier of 1e-3 passes a 1e-8 tolerance), so
 the interior-point answer is polished: the bounds it shows as active are
 fixed and the remaining equality-constrained QP is solved directly.  The
 polished point replaces the interior one only when its residual is lower.
-The loop also crosses over to the polish early: once two successive
-iterates show the same active bounds, and that guess has not been tried,
-it polishes the current iterate and returns the result if it meets the
-tolerance.  The certificate is the same KKT residual either way.
+The loop also crosses over to the polish before it converges, on an
+active-set guess that has not been tried yet, and returns the result if
+it meets the tolerance.  It does so whenever an iterate shows the same
+active bounds as the one before, and once, quickly, the first time the
+guess differs from the previous one in at most EARLY_SHARE of the
+variables: the indicator often finds the final active set long before
+the iterates agree on it.  That quick polish gives up as soon as a round
+of corrections changes no fewer bounds than the round before.  The
+polished answer depends only on the active set it ends on, and the
+certificate is the same KKT residual either way.  A polish gathers the
+block of Q that couples free to fixed variables only when some fixed
+value is not 0, which for the SVM+ dual is never.
 
 There is no phase one, because both duals are feasible by construction.
 An infeasible or degenerate problem ends in :class:`QpNonConvergenceError`,
@@ -75,6 +83,9 @@ STALL_SIGMA = 0.1
 RISE_TOL = 1e-12
 # active-set corrections per polish before it gives up
 POLISH_ROUNDS = 10
+# share of the variables in which an iterate's active-set guess may differ
+# from the previous one's for the early, quick polish to try it
+EARLY_SHARE = 0.05
 
 
 class QpError(Exception):
@@ -294,7 +305,8 @@ def _kkt_solver(M, A):
 
 
 def _ipm(p: QpProblem, tol, max_iter):
-    """Predictor-corrector loop with a crossover to :func:`_polish`.
+    """Predictor-corrector loop with crossovers to :func:`_polish`: one
+    quick early try, then each repeated guess.
 
     Returns (x, y, residual, its iteration, iterations run, stop reason):
     the first point that meets ``tol``, else the best iterate seen,
@@ -315,7 +327,8 @@ def _ipm(p: QpProblem, tol, max_iter):
     zu = np.where(finite_u, 1.0, 0.0)
 
     best = None
-    previous, polished = None, set()  # active-set guesses, as bytes
+    previous, polished = None, set()  # active-set guesses; tried ones as bytes
+    early_tried = False
     reason = "max_iter"
     steps = 0
     for _ in range(max_iter):
@@ -330,14 +343,20 @@ def _ipm(p: QpProblem, tol, max_iter):
         if res <= tol:
             return (*_polish(p, x, y, res, *guess), steps, steps, "converged")
 
-        # cross over once the active-set guess repeats, unless already tried
+        # cross over once the active-set guess repeats, and once (quickly)
+        # when it first changes in at most EARLY_SHARE of the variables,
+        # unless that guess was already tried
         key = guess[0].tobytes() + guess[1].tobytes()
-        if key == previous and key not in polished:
-            polished.add(key)
-            x_p, y_p, res_p = _polish(p, x, y, res, *guess)
-            if res_p <= tol:
-                return x_p, y_p, res_p, steps, steps, "converged"
-        previous = key
+        if previous is not None and key not in polished:
+            changed = np.count_nonzero((guess[0] != previous[0]) | (guess[1] != previous[1]))
+            early = not early_tried and 0 < changed <= EARLY_SHARE * n
+            if early or not changed:
+                polished.add(key)
+                early_tried |= early
+                x_p, y_p, res_p = _polish(p, x, y, res, *guess, quick=early)
+                if res_p <= tol:
+                    return x_p, y_p, res_p, steps, steps, "converged"
+        previous = guess
 
         # slacks can collapse to zero at float precision near the solution
         if np.any(sl <= 0.0) or np.any(su[finite_u] <= 0.0):
@@ -415,17 +434,32 @@ def _ipm(p: QpProblem, tol, max_iter):
     return (*_polish(p, x_b, y_b, res_b, *guess), it_b, steps, reason)
 
 
-def _polish(p: QpProblem, x, y, res, at_lower, at_upper):
+def _bound_product(Q, free, bound, values):
+    """``Q[free, bound] @ values``, without gathering that block of ``Q``
+    when every value is 0 (every SVM+ dual, and every SVM dual with no
+    variable at C): the product is then exactly 0."""
+    if not values.any():
+        return 0.0
+    return Q[np.ix_(free, bound)] @ values
+
+
+def _polish(p: QpProblem, x, y, res, at_lower, at_upper, quick=False):
     """Re-solve with the guessed active bounds fixed: (x, y, residual).
 
     The guess (:func:`_active_guess`) can be wrong for a variable that
     sits near a bound with a near-zero multiplier, so each round also
     fixes free variables that crossed a bound and frees fixed ones whose
     multiplier has the wrong sign, until the set stops changing.  Returns
-    the inputs unchanged when a reduced system is singular or the result
-    has no lower residual.
+    the inputs unchanged when a reduced system is singular, when the
+    result has no lower residual, or, for a ``quick`` polish, as soon as
+    a round changes no fewer bounds than the round before it: a guess
+    taken early in the interior-point loop is only worth its rounds
+    while its corrections shrink.  The block of Q that couples free to
+    fixed variables is gathered only when some fixed value is not 0
+    (:func:`_bound_product`).
     """
     finite_u = np.isfinite(p.upper)
+    last_changed = np.inf
     for _ in range(POLISH_ROUNDS):
         free = ~(at_lower | at_upper)
         fixed = np.where(at_lower, p.lower, np.where(at_upper, p.upper, 0.0))
@@ -435,7 +469,7 @@ def _polish(p: QpProblem, x, y, res, at_lower, at_upper):
             bound = ~free
             # the bound columns' product first, so that only one block of
             # Q is copied out at a time
-            q_bound = p.Q[np.ix_(free, bound)] @ fixed[bound]
+            q_bound = _bound_product(p.Q, free, bound, fixed[bound])
             Q_ff = p.Q[np.ix_(free, free)]
             Q_ff[np.diag_indices_from(Q_ff)] += RIDGE
             try:  # Q_ff is symmetric, so Q_ff.T is it in Fortran order
@@ -445,14 +479,20 @@ def _polish(p: QpProblem, x, y, res, at_lower, at_upper):
                 )
             except np.linalg.LinAlgError:
                 return x, y, res
+            del Q_ff  # freed before the next round gathers its own
             if not (np.all(np.isfinite(x_f)) and np.all(np.isfinite(y_new))):
                 return x, y, res
             x_new[free] = x_f
         g = p.Q @ x_new + p.c - p.A.T @ y_new
         new_lower = (free & (x_new < p.lower)) | (at_lower & (g >= 0))
         new_upper = (free & finite_u & (x_new > p.upper)) | (at_upper & (g <= 0))
-        if np.array_equal(new_lower, at_lower) and np.array_equal(new_upper, at_upper):
+        changed = (np.count_nonzero(new_lower != at_lower)
+                   + np.count_nonzero(new_upper != at_upper))
+        if not changed:
             break
+        if quick and changed >= last_changed:
+            return x, y, res
+        last_changed = changed
         at_lower, at_upper = new_lower, new_upper
     else:
         return x, y, res

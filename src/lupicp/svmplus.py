@@ -71,12 +71,16 @@ def assemble_dual(K, Kstar, y, C, gamma_plus):
     evaluation-equivalence test against the unexpanded objective.
     """
     n = y.shape[0]
-    S = Kstar / gamma_plus
+    # every block is written into Q in place, so no n-by-n temporary is
+    # made; each copy's source ends before its target starts in memory, so
+    # numpy does not buffer it
     Q = np.empty((2 * n, 2 * n))
-    Q[:n, :n] = K * np.outer(y, y) + S
+    S = np.divide(Kstar, gamma_plus, out=Q[n:, n:])
     Q[:n, n:] = S
-    Q[n:, :n] = S
-    Q[n:, n:] = S
+    Q[n:, :n] = Q[:n, n:]
+    G = np.multiply(K, y[:, None], out=Q[:n, :n])
+    G *= y[None, :]
+    G += S
     s_row = C * S.sum(axis=1)
     c = np.concatenate([-1.0 - s_row, -s_row])
     constant = 0.5 * C * float(s_row.sum())

@@ -349,7 +349,113 @@ def test_crossover_answer_certifies_with_exact_bounds(name):
 
 def test_equality_start_and_crossover_each_save_iterations():
     # 8 iterations before either change, 7 with only the crossover and 8
-    # with only the equality start
+    # with only the equality start; 6 with both, 5 with the early polish
     before = 8
     s = solve_qp(blob_duals()["svm+"])
     assert s.iterations <= 6 < before
+
+
+def polish_calls(p):
+    """Solve ``p``; return the solution and each polish call's
+    (quick, residual it returned, positional arguments)."""
+    calls = []
+    polish = qp._polish
+
+    def record(*args, quick=False):
+        out = polish(*args, quick=quick)
+        calls.append((quick, out[2], args))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "_polish", record)
+        solution = solve_qp(p)
+    return solution, calls
+
+
+def blob_svmplus_dual(C, gamma_plus):
+    X, Xstar, y = triplet_blobs(80, seed=0)
+    return svmplus_dual(X, Xstar, y, C=C, gamma=0.5, gamma_star=0.2,
+                        gamma_plus=gamma_plus)
+
+
+@pytest.mark.parametrize("C", [0.1, 1.0])
+def test_early_polish_returns_the_repeat_crossover_answer(monkeypatch, C):
+    p = blob_svmplus_dual(C, gamma_plus=1.0)
+    early, calls = polish_calls(p)
+    # the early polish certified, so it was the last call
+    assert calls[-1][0] and calls[-1][1] <= 1e-8
+    monkeypatch.setattr(qp, "EARLY_SHARE", 0.0)
+    repeat, calls = polish_calls(p)
+    assert not any(quick for quick, _, _ in calls)
+    # the polished answer depends only on the final active set
+    assert early.x.tobytes() == repeat.x.tobytes()
+    assert early.eq_multipliers.tobytes() == repeat.eq_multipliers.tobytes()
+    assert early.kkt_residual == repeat.kkt_residual
+    assert early.iterations < repeat.iterations
+
+
+@pytest.mark.parametrize("C, gamma_plus", [(0.1, 0.1), (1.0, 0.01), (10.0, 0.1)])
+def test_each_solve_makes_at_most_one_early_polish(C, gamma_plus):
+    s, calls = polish_calls(blob_svmplus_dual(C, gamma_plus))
+    assert s.kkt_residual <= 1e-8
+    assert sum(quick for quick, _, _ in calls) == 1
+    if C > 0.1:
+        # the early polish did not certify, and later guesses still get
+        # the full polish
+        assert calls[0][0] and calls[0][1] > 1e-8
+        assert len(calls) > 1 and not calls[-1][0]
+
+
+def test_quick_polish_gives_up_when_its_corrections_stop_shrinking():
+    # from this guess the rounds change 10, 6, 6, 2 and 0 bounds: the quick
+    # polish gives up at the third round, the full one certifies at the fifth
+    _, calls = polish_calls(blob_svmplus_dual(1.0, gamma_plus=0.1))
+    (args,) = [args for quick, _, args in calls if quick]
+    solves = []
+    kkt_solver = qp._kkt_solver
+
+    def count(*a):
+        solves.append(a[0].shape[0])
+        return kkt_solver(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "_kkt_solver", count)
+        x, y, res = qp._polish(*args, quick=True)
+        quick_rounds = len(solves)
+        full = qp._polish(*args)
+    assert x is args[1] and y is args[2] and res is args[3]
+    assert quick_rounds == 3
+    assert full[2] <= 1e-8 < res
+    assert len(solves) - quick_rounds == 5
+
+
+@pytest.mark.parametrize("make", [
+    lambda X, Xstar, y: svm_dual(X, y, C=1000.0, gamma=0.5),
+    lambda X, Xstar, y: svmplus_dual(X, Xstar, y, C=1.0, gamma=0.5, gamma_star=0.2,
+                                     gamma_plus=0.1),
+], ids=["svm", "svm+"])
+def test_polish_skips_the_gather_when_every_fixed_value_is_zero(make):
+    p = make(*triplet_blobs(60, seed=4))
+    s = solve_qp(p)
+    # no SVM variable comes near C = 1000: every fixed value is 0
+    at_lower = s.x <= 1e-6
+    at_upper = np.zeros(p.n, dtype=bool)
+    products = []
+    bound_product = qp._bound_product
+
+    def record(*a):
+        products.append(bound_product(*a))
+        return products[-1]
+
+    def gather(Q, free, bound, values):
+        return Q[np.ix_(free, bound)] @ values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "_bound_product", record)
+        skipped = qp._polish(p, s.x, s.eq_multipliers, np.inf, at_lower, at_upper)
+        mp.setattr(qp, "_bound_product", gather)
+        gathered = qp._polish(p, s.x, s.eq_multipliers, np.inf, at_lower, at_upper)
+    assert products and all(np.ndim(q) == 0 and q == 0.0 for q in products)
+    assert skipped[0].tobytes() == gathered[0].tobytes()
+    assert skipped[1].tobytes() == gathered[1].tobytes()
+    assert skipped[2] == gathered[2] < np.inf

@@ -43,6 +43,23 @@ def test_expanded_dual_matches_unexpanded_objective():
         assert direct == pytest.approx(expanded, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("C, gamma_plus", [(1.0, 0.1), (100.0, 1e-4), (0.01, 0.3)])
+def test_dual_blocks_written_in_place_equal_their_formulas(C, gamma_plus):
+    # Q's blocks share memory with each other while they are written
+    X, Xstar, y = random_instance(3, n=37)
+    y = y.astype(float)
+    K, Kstar = rbf_gram_loops(X, 0.5), rbf_gram_loops(Xstar, 0.2)
+    Q, c, constant = assemble_dual(K, Kstar, y, C, gamma_plus)
+    S = Kstar / gamma_plus
+    n = len(y)
+    assert Q[:n, :n].tobytes() == (K * np.outer(y, y) + S).tobytes()
+    for block in (Q[:n, n:], Q[n:, :n], Q[n:, n:]):
+        assert block.tobytes() == S.tobytes()
+    s_row = C * S.sum(axis=1)
+    assert c.tobytes() == np.concatenate([-1.0 - s_row, -s_row]).tobytes()
+    assert constant == 0.5 * C * float(s_row.sum())
+
+
 def test_canonical_feasible_point_gives_nonnegative_objective():
     # alpha = 0, beta = C*1 is always dual feasible with objective 0,
     # so the trained objective can never be negative
